@@ -8,14 +8,8 @@
 //	spbench -j 8                 # fan runs out over 8 host workers
 //	spbench -hostjson BENCH_host.json  # also write host-perf metrics
 //	spbench -trace-dir traces/   # write per-benchmark Chrome trace JSON
-//	spbench -exp obssmoke        # verify trace invariants end to end
-//	spbench -exp fastpathdiff    # verify engine fast paths change nothing
-//	spbench -exp sadiff          # verify the static analysis changes nothing
-//	spbench -exp ipdiff          # verify the interprocedural tier changes nothing
-//	spbench -exp profdiff        # verify serial and SuperPin profiles match
-//	spbench -exp pardiff         # verify host-parallel runs change nothing
-//	spbench -exp jitdiff         # verify the hot trace tier changes nothing
-//	spbench -exp cachediff       # verify the artifact cache changes nothing
+//	spbench -exp sadiff          # one differential-matrix preset: obssmoke, fastpathdiff,
+//	                             # sadiff, ipdiff, profdiff, pardiff, jitdiff or cachediff
 //	spbench -warmstart           # measure cold vs warm vs disk-warm wall-clock
 //	spbench -cachedir dir        # share predecode/SA/hot-seed artifacts across runs
 //	spbench -workers 4           # execute each run's slices on 4 goroutines
@@ -197,7 +191,12 @@ func run(args []string) error {
 	cfg.Metrics = plane.Metrics
 	cfg.LiveTrace = plane.Tracer
 
-	emit := func(name string, t *report.Table) error {
+	// emit prints a finished experiment's table and writes its CSV, or
+	// returns the error that stopped the experiment.
+	emit := func(name string, t *report.Table, err error) error {
+		if err != nil {
+			return err
+		}
 		fmt.Println(t)
 		if *csvDir == "" {
 			return nil
@@ -240,17 +239,14 @@ func run(args []string) error {
 		}
 		account(rs)
 		if want("fig3") {
-			if err := emit("fig3", t3); err != nil {
+			if err := emit("fig3", t3, nil); err != nil {
 				return err
 			}
 			ran = true
 		}
 		if want("fig4") {
 			t4, _, err := bench.Fig4(cfg, rs)
-			if err != nil {
-				return err
-			}
-			if err := emit("fig4", t4); err != nil {
+			if err := emit("fig4", t4, err); err != nil {
 				return err
 			}
 			ran = true
@@ -262,261 +258,68 @@ func run(args []string) error {
 			return err
 		}
 		account(rs)
-		if err := emit("fig5", t5); err != nil {
+		if err := emit("fig5", t5, nil); err != nil {
 			return err
 		}
 		ran = true
 	}
 	if want("fig6") {
 		t6, _, err := bench.Fig6(cfg, nil)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig6", t6); err != nil {
+		if err := emit("fig6", t6, err); err != nil {
 			return err
 		}
 		ran = true
 	}
 	if want("fig7") {
 		t7, _, err := bench.Fig7(cfg, nil)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig7", t7); err != nil {
+		if err := emit("fig7", t7, err); err != nil {
 			return err
 		}
 		ran = true
 	}
 	if want("sigstats") {
 		ts, _, err := bench.SigStats(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("sigstats", ts); err != nil {
+		if err := emit("sigstats", ts, err); err != nil {
 			return err
 		}
 		ran = true
 	}
 	if want("ablations") {
 		tq, _, err := bench.AblationQuickCheck(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("ablation_quickcheck", tq); err != nil {
+		if err := emit("ablation_quickcheck", tq, err); err != nil {
 			return err
 		}
 		tr, _, err := bench.AblationSysRecs(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("ablation_sysrecs", tr); err != nil {
+		if err := emit("ablation_sysrecs", tr, err); err != nil {
 			return err
 		}
 		tc, _, err := bench.AblationSharedCache(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("ablation_sharedcache", tc); err != nil {
+		if err := emit("ablation_sharedcache", tc, err); err != nil {
 			return err
 		}
 		tt, _, err := bench.AblationThrottle(cfg)
+		if err := emit("ablation_throttle", tt, err); err != nil {
+			return err
+		}
+		ran = true
+	}
+	if p, ok := bench.LookupDiff(*exp); ok {
+		reports, err := p.Run(cfg)
 		if err != nil {
 			return err
 		}
-		if err := emit("ablation_throttle", tt); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if *exp == "fastpathdiff" {
-		t := report.New("Fast-path differential: fast vs -nofastpath, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "link hits", "sb ins", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunFastPathDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.LinkHits, r.SuperblockIns, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("fastpathdiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "sadiff" {
-		t := report.New("Static-analysis differential: SA vs -nosa, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "shared runs", "saved regs (sa/nosa)", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunSADiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.SharedRuns, fmt.Sprintf("%d/%d", r.SavedRegsSA, r.SavedRegsRef), r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("sadiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "ipdiff" {
-		reports, err := bench.RunIPDiff(cfg)
-		if err != nil {
-			return err
-		}
-		t := report.New("Interprocedural-analysis differential: full vs -saintra vs -nosa, identical virtual results",
-			"benchmark", "ins", "pin cycles", "sp cycles", "saved regs (full/intra/nosa)", "folded sites", "folded preds", "hits", "events", "verdict")
+		t := report.New(p.Title, "benchmark", "ins", "legs", "pin cycles", "sp cycles",
+			"slices", "events", "engagement", "verdict")
 		for _, r := range reports {
-			t.Row(r.Name, r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-				fmt.Sprintf("%d/%d/%d", r.SavedRegsFull, r.SavedRegsIntra, r.SavedRegsRef),
-				r.FoldedSites, r.FoldedPreds, r.Hits, r.Events, "ok")
+			t.Row(r.Name, r.Ins, r.Legs, uint64(r.PinCycles), uint64(r.SPCycles),
+				r.Slices, r.Events, strings.Trim(fmt.Sprint(r.Engaged), "[]"), "ok")
 		}
-		if err := emit("ipdiff", t); err != nil {
+		if err := emit(p.Name, t, nil); err != nil {
 			return err
 		}
-		if len(reports) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "profdiff" {
-		reports, err := bench.RunProfDiff(cfg, bench.Icount1)
-		if err != nil {
-			return err
-		}
-		t := report.New("Profile differential: native vs serial Pin vs SuperPin-merged, fast and -nofastpath",
-			"benchmark", "ins", "interval", "samples", "max stack", "slices", "sp cycles", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Ins, r.Interval, r.Samples, r.MaxStack, r.Slices, uint64(r.SPCycles), "ok")
-		}
-		if err := emit("profdiff", t); err != nil {
-			return err
-		}
-		if len(reports) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "pardiff" {
-		reports, err := bench.RunParDiff(cfg)
-		if err != nil {
-			return err
-		}
-		t := report.New("Host-parallelism differential: 1/2/4/8 workers, identical virtual results",
-			"benchmark", "ins", "slices", "icount1 cycles", "icount2 cycles", "events", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Ins, r.Slices, uint64(r.Icount1Cycles), uint64(r.Icount2Cycles), r.Events, "ok")
-		}
-		if err := emit("pardiff", t); err != nil {
-			return err
-		}
-		if len(reports) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "jitdiff" {
-		t := report.New("Hot-tier differential: hot vs -nohottier, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "promos (pin/sp)", "hot ins", "link hits", "hoisted", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunJITDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					fmt.Sprintf("%d/%d", r.Promotions, r.SPPromotions),
-					r.HotIns, r.HotLinkHits, r.SPHoistedSaves, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("jitdiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "obssmoke" {
-		reports, err := bench.RunObsSmoke(cfg, bench.Icount1)
-		if err != nil {
-			return err
-		}
-		t := report.New("Observability smoke: trace invariants per benchmark",
-			"benchmark", "events", "slices", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Events, r.Slices, "ok")
-		}
-		if err := emit("obssmoke", t); err != nil {
-			return err
-		}
-		if len(reports) > 0 {
-			fmt.Println("invariants checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "cachediff" {
-		t := report.New("Artifact-cache differential: cold vs warm vs disk-warm, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "warm promos", "ttfp (cold/warm)", "disk hits", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunCacheDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.WarmPromotions, fmt.Sprintf("%d/%d", r.ColdTTFP, r.WarmTTFP),
-					r.DiskHits, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("cachediff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
+		fmt.Println("checked:")
+		for _, c := range p.Checks {
+			fmt.Println("  -", c)
 		}
 		ran = true
 	}
@@ -548,7 +351,7 @@ func run(args []string) error {
 		for _, p := range scalePoints {
 			st.Row(p.Workers, fmt.Sprintf("%.3f", p.ElapsedSec), fmt.Sprintf("%.2fx", p.Speedup))
 		}
-		if err := emit("scaling", st); err != nil {
+		if err := emit("scaling", st, nil); err != nil {
 			return err
 		}
 	}
@@ -568,7 +371,7 @@ func run(args []string) error {
 		wt.Row("cold", fmt.Sprintf("%.3f", warmRes.ColdSec), warmRes.ColdTTFP, uint64(0))
 		wt.Row("warm", fmt.Sprintf("%.3f", warmRes.WarmSec), warmRes.WarmTTFP, warmRes.WarmPromotions)
 		wt.Row("disk-warm", fmt.Sprintf("%.3f", warmRes.DiskSec), uint64(0), uint64(0))
-		if err := emit("warmstart", wt); err != nil {
+		if err := emit("warmstart", wt, nil); err != nil {
 			return err
 		}
 		fmt.Printf("warm-start speedup: %.2fx (cold %.3fs -> warm %.3fs)\n",

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"superpin/internal/core"
 	"superpin/internal/report"
 	"superpin/internal/tools"
@@ -27,20 +25,6 @@ type AblationRow struct {
 	OffSecs float64
 	// Penalty is Off/On: how much slower the run is without the feature.
 	Penalty float64
-}
-
-// resolveSpecs maps benchmark names to catalog specs, erroring
-// deterministically on the first unknown name before any run starts.
-func resolveSpecs(names []string) ([]workload.Spec, error) {
-	specs := make([]workload.Spec, len(names))
-	for i, name := range names {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-		}
-		specs[i] = spec
-	}
-	return specs, nil
 }
 
 // ablationRows measures every named benchmark with a feature on and off,
@@ -71,12 +55,7 @@ func runWith(cfg Config, spec workload.Spec, mutate func(*core.Options)) (float6
 	if err != nil {
 		return 0, nil, err
 	}
-	opts := core.DefaultOptions()
-	opts.SliceMSec = cfg.TimesliceMSec
-	opts.MaxSlices = cfg.MaxSlices
-	opts.PinCost = cfg.PinCost
-	opts.PinCost.MemSurcharge = spec.SliceMemCost
-	opts.NativeMemSurcharge = spec.NativeMemCost
+	opts := spOptions(cfg, spec)
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -184,15 +163,11 @@ func AblationThrottle(cfg Config) (*report.Table, []ThrottleRow, error) {
 	sec := cfg.Kernel.Cost.Seconds
 	rows, err := runIndexed(cfg.Workers, len(specs), func(i int) (ThrottleRow, error) {
 		spec := specs[i]
-		scaled := spec.Scaled(cfg.Scale)
-		prog, err := scaled.Build()
+		b, err := newBenchRun(cfg, spec)
 		if err != nil {
 			return ThrottleRow{}, err
 		}
-		native, err := core.RunNative(cfg.Kernel, prog, scaled.NativeMemCost)
-		if err != nil {
-			return ThrottleRow{}, err
-		}
+		native := b.native
 
 		_, fixedRes, err := runWith(cfg, spec, nil)
 		if err != nil {

@@ -181,15 +181,21 @@ func (c *Config) specs() ([]workload.Spec, error) {
 	if len(c.Benchmarks) == 0 {
 		return workload.Catalog(), nil
 	}
-	out := make([]workload.Spec, 0, len(c.Benchmarks))
-	for _, name := range c.Benchmarks {
-		s, ok := workload.ByName(name)
+	return resolveSpecs(c.Benchmarks)
+}
+
+// resolveSpecs maps benchmark names to catalog specs, erroring
+// deterministically on the first unknown name before any run starts.
+func resolveSpecs(names []string) ([]workload.Spec, error) {
+	specs := make([]workload.Spec, len(names))
+	for i, name := range names {
+		spec, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 		}
-		out = append(out, s)
+		specs[i] = spec
 	}
-	return out, nil
+	return specs, nil
 }
 
 // newTool builds the measurement tool for one run.
@@ -255,12 +261,17 @@ func hostCounters(res *core.PinResult) HostCounters {
 	}
 }
 
-// zeroHotStats clears the hot-tier host counters in a stats copy so the
-// differential experiments can compare everything else exactly (the hot
-// tier exists only in fast-path runs, and only moves host-side work).
-func zeroHotStats(s *pin.Stats) {
-	s.HotPromotions, s.HotIns, s.HoistedSaves, s.HotLinkHits = 0, 0, 0, 0
-	s.WarmPromotions, s.FirstPromoDispatch = 0, 0
+// spOptions returns the SuperPin options every harness run starts from:
+// the configured timeslice, slice limit and cost model, with the
+// benchmark's memory surcharges.
+func spOptions(cfg Config, spec workload.Spec) core.Options {
+	opts := core.DefaultOptions()
+	opts.SliceMSec = cfg.TimesliceMSec
+	opts.MaxSlices = cfg.MaxSlices
+	opts.PinCost = cfg.PinCost
+	opts.PinCost.MemSurcharge = spec.SliceMemCost
+	opts.NativeMemSurcharge = spec.NativeMemCost
+	return opts
 }
 
 // RunBenchmark measures one benchmark under native, Pin and SuperPin
@@ -291,12 +302,7 @@ func RunBenchmark(cfg Config, spec workload.Spec, kind ToolKind) (*Result, error
 			spec.Name, kind, pinTool.Total(), native.Ins)
 	}
 
-	opts := core.DefaultOptions()
-	opts.SliceMSec = cfg.TimesliceMSec
-	opts.MaxSlices = cfg.MaxSlices
-	opts.PinCost = cfg.PinCost
-	opts.PinCost.MemSurcharge = spec.SliceMemCost
-	opts.NativeMemSurcharge = spec.NativeMemCost
+	opts := spOptions(cfg, spec)
 	opts.Workers = cfg.SPWorkers
 	opts.Artifacts = cfg.Artifacts
 	if cfg.TraceDir != "" {

@@ -211,3 +211,32 @@ func TestToolKindString(t *testing.T) {
 		t.Fatal("ToolKind strings wrong")
 	}
 }
+
+// TestRunBenchmarkNoFastPath: the harness-level escape hatch disables the
+// fast paths in every run and zeroes the host counters, while the
+// measured virtual cycles stay identical to a default run.
+func TestRunBenchmarkNoFastPath(t *testing.T) {
+	cfg := obsTestConfig()
+	spec := mustSpec(t, "gzip")
+	fast, err := RunBenchmark(cfg, spec, Icount2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NoFastPath = true
+	slow, err := RunBenchmark(cfg, spec, Icount2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Native != slow.Native || fast.Pin != slow.Pin || fast.SP != slow.SP || fast.Ins != slow.Ins {
+		t.Fatalf("virtual results differ: fast %+v vs nofast %+v", fast, slow)
+	}
+	if fast.Host.LinkHits == 0 || fast.Host.SuperblockIns == 0 {
+		t.Fatalf("default run exercised no fast-path machinery: %+v", fast.Host)
+	}
+	if slow.Host.LinkHits != 0 || slow.Host.LinkMisses != 0 || slow.Host.SuperblockIns != 0 {
+		t.Fatalf("NoFastPath run reported fast-path activity: %+v", slow.Host)
+	}
+	if fast.Host.Dispatches != slow.Host.Dispatches {
+		t.Fatalf("dispatch counts differ: %d vs %d", fast.Host.Dispatches, slow.Host.Dispatches)
+	}
+}

@@ -90,15 +90,11 @@ func Fig6(cfg Config, sweep []float64) (*report.Table, []Fig6Row, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("bench: gcc missing from catalog")
 	}
-	spec = spec.Scaled(cfg.Scale)
-	prog, err := spec.Build()
+	b, err := newBenchRun(cfg, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	native, err := core.RunNative(cfg.Kernel, prog, spec.NativeMemCost)
-	if err != nil {
-		return nil, nil, err
-	}
+	spec, prog, native := b.spec, b.prog, b.native
 
 	sec := cfg.Kernel.Cost.Seconds
 	rows, err := runIndexed(cfg.Workers, len(sweep), func(i int) (Fig6Row, error) {
@@ -212,28 +208,17 @@ func SigStats(cfg Config) (*report.Table, []SigStatsRow, error) {
 	if names == nil {
 		names = []string{"gzip", "mcf", "crafty", "mgrid", "gcc"}
 	}
-	// Resolve names serially so an unknown benchmark errors
-	// deterministically before any run starts.
-	specs := make([]workload.Spec, len(names))
-	for i, name := range names {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("bench: unknown benchmark %q", name)
-		}
-		specs[i] = spec.Scaled(cfg.Scale)
+	specs, err := resolveSpecs(names)
+	if err != nil {
+		return nil, nil, err
 	}
 	rows, err := runIndexed(cfg.Workers, len(specs), func(i int) (SigStatsRow, error) {
-		spec := specs[i]
+		spec := specs[i].Scaled(cfg.Scale)
 		prog, err := spec.Build()
 		if err != nil {
 			return SigStatsRow{}, err
 		}
-		opts := core.DefaultOptions()
-		opts.SliceMSec = cfg.TimesliceMSec
-		opts.MaxSlices = cfg.MaxSlices
-		opts.PinCost = cfg.PinCost
-		opts.PinCost.MemSurcharge = spec.SliceMemCost
-		opts.NativeMemSurcharge = spec.NativeMemCost
+		opts := spOptions(cfg, spec)
 		tool := tools.NewIcount2(nil)
 		res, err := core.Run(cfg.Kernel, prog, tool.Factory(), opts)
 		if err != nil {

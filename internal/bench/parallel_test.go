@@ -146,3 +146,26 @@ func TestResolveWorkers(t *testing.T) {
 		t.Fatalf("fallback workers = %d, want >= 1", got)
 	}
 }
+
+// TestRunScaling checks the scaling sweep plumbing: points for every
+// requested worker count, non-zero wall-clock, and the virtual-cycle
+// identity assertion internal to RunScaling.
+func TestRunScaling(t *testing.T) {
+	cfg := obsTestConfig()
+	cfg.Benchmarks = []string{"gzip"}
+	points, err := RunScaling(cfg, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
+		t.Fatalf("got %d points", len(points))
+	}
+	for _, pt := range points {
+		if pt.ElapsedSec <= 0 || pt.Speedup <= 0 {
+			t.Fatalf("degenerate point %+v", pt)
+		}
+	}
+	if points[0].Workers != 1 || points[1].Workers != 2 {
+		t.Fatalf("worker counts %d,%d", points[0].Workers, points[1].Workers)
+	}
+}

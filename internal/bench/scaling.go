@@ -54,12 +54,7 @@ func RunScaling(cfg Config, workers []int) ([]ScalePoint, error) {
 		var total kernel.Cycles
 		start := time.Now()
 		for _, pr := range progs {
-			opts := core.DefaultOptions()
-			opts.SliceMSec = cfg.TimesliceMSec
-			opts.MaxSlices = cfg.MaxSlices
-			opts.PinCost = cfg.PinCost
-			opts.PinCost.MemSurcharge = pr.spec.SliceMemCost
-			opts.NativeMemSurcharge = pr.spec.NativeMemCost
+			opts := spOptions(cfg, pr.spec)
 			opts.Workers = w
 			tool := newTool(Icount1)
 			res, err := core.Run(cfg.Kernel, pr.prog, tool.Factory(), opts)

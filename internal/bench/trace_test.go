@@ -27,28 +27,6 @@ func obsTestConfig() Config {
 	return cfg
 }
 
-// TestRunObsSmoke is the observability smoke check: traced SuperPin runs
-// satisfy every trace invariant, including exact breakdown agreement.
-func TestRunObsSmoke(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.Benchmarks = []string{"gzip", "gcc", "mgrid"}
-	reports, err := RunObsSmoke(cfg, Icount1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports", len(reports))
-	}
-	for _, r := range reports {
-		if r.Events == 0 || r.Slices == 0 {
-			t.Fatalf("%s: empty report %+v", r.Name, r)
-		}
-		if len(r.Checks) == 0 {
-			t.Fatalf("%s: no checks recorded", r.Name)
-		}
-	}
-}
-
 // TestVerifyTraceRejectsViolations feeds VerifyTrace corrupted traces
 // and expects each corruption to be caught.
 func TestVerifyTraceRejectsViolations(t *testing.T) {

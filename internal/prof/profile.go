@@ -21,9 +21,8 @@ type Profile struct {
 }
 
 // Diff compares two profiles and returns a description of the first
-// difference, or "" when they are identical. It is the profdiff
-// experiment's comparator; the description names the diverging sample so
-// failures are debuggable.
+// difference, or "" when they are identical. The description names the
+// diverging sample so failures are debuggable.
 func (p *Profile) Diff(q *Profile) string {
 	if p.Interval != q.Interval {
 		return fmt.Sprintf("intervals differ: %d vs %d", p.Interval, q.Interval)

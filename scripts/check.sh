@@ -40,6 +40,8 @@ go test -race ./internal/kernel/... ./internal/core/... ./internal/jit/... \
 echo "== benchmarks compile and run once =="
 go test -run='^$' -bench=. -benchtime=1x ./...
 
+# Differential matrix: one step per preset (see EXPERIMENTS.md,
+# "Differential matrix"). A failure prints the first divergence.
 echo "== observability smoke (trace invariants) =="
 go run ./cmd/spbench -exp obssmoke -scale 0.02 -benchmarks gzip,mgrid
 
@@ -69,8 +71,12 @@ go run ./tools/cmd/telsmoke -- \
     go run ./cmd/spbench -exp fig3 -scale 1 -benchmarks gzip,gcc,mgrid -serve 127.0.0.1:0
 
 echo "== interprocedural overhead gate (serial guest-MIPS vs BENCH_9) =="
+# The fresh artifact goes to a temporary file: the committed results/
+# artifacts are records of earlier runs, not outputs of this gate.
+host_json=$(mktemp)
+trap 'rm -f "$host_json"' EXIT
 go run ./cmd/spbench -exp fig3 -scale 0.1 -j 1 -scaling 1,2,4,8 -warmstart \
-    -serve 127.0.0.1:0 -hostjson results/BENCH_10.json
-scripts/benchdiff.sh -gate -pct 80 results/BENCH_9.json results/BENCH_10.json
+    -serve 127.0.0.1:0 -hostjson "$host_json"
+scripts/benchdiff.sh -gate -pct 80 results/BENCH_9.json "$host_json"
 
 echo "ok"
