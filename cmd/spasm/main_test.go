@@ -44,8 +44,8 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return string(out), runErr
 }
 
-// lintCorpus holds one hand-corrupted program per interprocedural
-// verifier diagnostic. Every diagnostic is a warning, so -lint succeeds
+// lintCorpus holds one hand-corrupted program per call-graph verifier
+// diagnostic. Every diagnostic is a warning, so -lint succeeds
 // but must print the rule slug with a resolvable file:line (via the
 // assembler's line map).
 var lintCorpus = []struct {
@@ -66,24 +66,6 @@ main:
 	li r1, 1
 	li r2, 0
 	syscall
-`,
-	},
-	{
-		name: "indirect transfer into data",
-		code: "indirect-data",
-		// The dispatch word provably sends the jalr to 0x6100, which is
-		// no discovered block leader.
-		src: `	.entry main
-main:
-	la r4, table
-	lw r5, (r4)
-	jalr r31, r5, 0
-	li r1, 1
-	li r2, 0
-	syscall
-	.org 0x6000
-table:
-	.word 0x6100
 `,
 	},
 	{

@@ -9,14 +9,13 @@
 //	spbench -hostjson BENCH_host.json  # also write host-perf metrics
 //	spbench -trace-dir traces/   # write per-benchmark Chrome trace JSON
 //	spbench -exp sadiff          # one differential-matrix preset: obssmoke, fastpathdiff,
-//	                             # sadiff, ipdiff, profdiff, pardiff, jitdiff or cachediff
+//	                             # sadiff, profdiff, pardiff, jitdiff or cachediff
 //	spbench -warmstart           # measure cold vs warm vs disk-warm wall-clock
 //	spbench -cachedir dir        # share predecode/SA/hot-seed artifacts across runs
 //	spbench -workers 4           # execute each run's slices on 4 goroutines
 //	spbench -scaling 1,2,4,8     # measure wall-clock vs per-run workers
 //	spbench -nofastpath          # run with the dispatch fast paths off
 //	spbench -nosa                # run with the load-time static analysis off
-//	spbench -saintra             # run with only the intraprocedural analysis tier
 //	spbench -nohottier           # run with the second-tier trace compiler off
 //	spbench -cpuprofile cpu.pprof  # host CPU profile of the harness itself
 //	spbench -serve 127.0.0.1:8080  # live /metrics /status /trace HTTP plane
@@ -90,7 +89,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("spbench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment: all|fig3|fig4|fig5|fig6|fig7|sigstats|ablations|obssmoke|fastpathdiff|sadiff|ipdiff|profdiff|pardiff|jitdiff|cachediff|scaling")
+		exp        = fs.String("exp", "all", "experiment: all|fig3|fig4|fig5|fig6|fig7|sigstats|ablations|obssmoke|fastpathdiff|sadiff|profdiff|pardiff|jitdiff|cachediff|scaling")
 		scale      = fs.Float64("scale", 0.25, "workload scale (1.0 = full size)")
 		msec       = fs.Float64("msec", 0, "timeslice interval in virtual ms (0 = scale-proportional default)")
 		maxSlices  = fs.Int("spmp", 8, "maximum running slices for suite runs")
@@ -103,7 +102,6 @@ func run(args []string) error {
 		traceDir   = fs.String("trace-dir", "", "directory to write per-benchmark Chrome trace JSON files into")
 		noFastPath = fs.Bool("nofastpath", false, "disable the engine's dispatch fast paths (trace linking, superblock batching)")
 		noSA       = fs.Bool("nosa", false, "disable the load-time static analysis (verifier, liveness elision, shared predecode)")
-		saIntra    = fs.Bool("saintra", false, "restrict the static analysis to its intraprocedural tier (no call graph, cross-call liveness or value folding)")
 		noHotTier  = fs.Bool("nohottier", false, "disable the second-tier trace compiler (profile-guided layout, register caching, spill hoisting)")
 		cpuProf    = fs.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) of the harness to this file")
 		memProf    = fs.String("memprofile", "", "write a host heap profile of the harness to this file")
@@ -155,7 +153,6 @@ func run(args []string) error {
 	cfg.NoFastPath = *noFastPath
 	cfg.NoSA = *noSA
 	cfg.NoHotTier = *noHotTier
-	cfg.SAIntra = *saIntra
 	if *msec > 0 {
 		cfg.TimesliceMSec = *msec
 	} else {

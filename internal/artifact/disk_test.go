@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,37 +203,44 @@ func TestDiskCorruptCorpus(t *testing.T) {
 // an image rebuilt differently at the same path) is rejected by the
 // structural validation, not silently adopted.
 // TestDiskSAStaleVersion: an SA entry written by an older encoding
-// version (simulated by stripping the v2 magic/version header, which is
-// exactly what a v1 payload looks like) must fall back to a cold
-// analysis — counted as a disk error, never a decode panic or a wrong
-// Analysis.
+// version must fall back to a cold analysis — counted as a disk error,
+// never a decode panic or a wrong Analysis. Two stale shapes: a v1
+// payload (no magic/version header) and a v2 payload (version word 2
+// and a trailing interprocedural value tier).
 func TestDiskSAStaleVersion(t *testing.T) {
-	dir := t.TempDir()
 	prog := tiny(t)
 	key := KeyOf(prog)
+	cur := sa.Analyze(prog).Encode()
+	v2 := append([]byte{}, cur...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	v2 = append(append(v2, 1, 0), make([]byte, 16)...)
+	for _, tc := range []struct {
+		name  string
+		stale []byte
+	}{{"v1", cur[8:]}, {"v2", v2}} {
+		name, stale := tc.name, tc.stale
+		dir := t.TempDir()
+		w, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.writeDisk(key, kindSA, stale)
 
-	w, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := sa.Analyze(prog).Encode()[8:] // v1 payloads carried no header
-	w.writeDisk(key, kindSA, stale)
-
-	v, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := v.Analysis(key, prog)
-	ref := sa.Analyze(prog)
-	if an.NumBlocks() != ref.NumBlocks() || an.LiveIn(0x1000) != ref.LiveIn(0x1000) ||
-		an.IPStats() != ref.IPStats() {
-		t.Fatal("stale-version fallback differs from a cold compute")
-	}
-	if st := v.Stats(); st.DiskErrors == 0 {
-		t.Fatalf("stale version not counted as a disk error: %+v", st)
-	}
-	if st := v.Stats(); st.SAComputes == 0 {
-		t.Fatalf("stale version did not trigger a cold compute: %+v", st)
+		v, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := v.Analysis(key, prog)
+		ref := sa.Analyze(prog)
+		if an.NumBlocks() != ref.NumBlocks() || an.LiveIn(0x1000) != ref.LiveIn(0x1000) {
+			t.Fatalf("%s: stale-version fallback differs from a cold compute", name)
+		}
+		if st := v.Stats(); st.DiskErrors == 0 {
+			t.Fatalf("%s: stale version not counted as a disk error: %+v", name, st)
+		}
+		if st := v.Stats(); st.SAComputes == 0 {
+			t.Fatalf("%s: stale version did not trigger a cold compute: %+v", name, st)
+		}
 	}
 }
 

@@ -98,11 +98,6 @@ type Config struct {
 	// hoisting) in every run the harness performs. Virtual-cycle results
 	// are identical either way (`-exp jitdiff` proves it).
 	NoHotTier bool
-	// SAIntra restricts the static analysis to its intraprocedural tier
-	// (no call graph, no cross-call liveness, no value analysis) in
-	// every run the harness performs. Virtual-cycle results are
-	// identical either way (`-exp ipdiff` proves it).
-	SAIntra bool
 	// Artifacts, when non-nil, is the content-addressed artifact store
 	// every run the harness performs shares: concurrent suite runs of the
 	// same benchmark predecode and analyze each image exactly once, and
@@ -161,9 +156,6 @@ func (c *Config) normalize() {
 	}
 	if c.NoHotTier {
 		c.PinCost.NoHotTier = true
-	}
-	if c.SAIntra {
-		c.PinCost.SAIntra = true
 	}
 	// Thread the telemetry plane through the kernel config so every run
 	// the harness performs — native, Pin baseline, SuperPin, and all the

@@ -59,7 +59,6 @@ type leg struct {
 	noFastPath  bool
 	noHotTier   bool
 	noSA        bool
-	saIntra     bool
 	sharedCache bool   // SuperPin shared code cache
 	workers     int    // SuperPin host workers (0 = the core default)
 	prof        uint64 // profile interval (0 = unprofiled)
@@ -78,7 +77,6 @@ func (l leg) String() string {
 	add(l.noFastPath, "nofastpath")
 	add(l.noHotTier, "nohottier")
 	add(l.noSA, "nosa")
-	add(l.saIntra, "saintra")
 	add(l.sharedCache, "sharedcache")
 	add(l.store == storeWarm, "warm")
 	add(l.store == storeDisk, "disk-warm")
@@ -94,7 +92,6 @@ func (l leg) with(d leg) leg {
 	l.noFastPath = l.noFastPath || d.noFastPath
 	l.noHotTier = l.noHotTier || d.noHotTier
 	l.noSA = l.noSA || d.noSA
-	l.saIntra = l.saIntra || d.saIntra
 	l.sharedCache = l.sharedCache || d.sharedCache
 	l.metrics = l.metrics || d.metrics
 	l.workers = max(l.workers, d.workers)
@@ -108,19 +105,6 @@ func (l leg) applyCost(c *pin.CostModel) {
 	c.NoFastPath = c.NoFastPath || l.noFastPath
 	c.NoHotTier = c.NoHotTier || l.noHotTier
 	c.NoSA = c.NoSA || l.noSA
-	c.SAIntra = c.SAIntra || l.saIntra
-}
-
-// saLevel ranks a leg's static analysis: 2 full, 1 intraprocedural, 0
-// none.
-func (l leg) saLevel() int {
-	if l.noSA {
-		return 0
-	}
-	if l.saIntra {
-		return 1
-	}
-	return 2
 }
 
 // knob is a setting whose legs may disagree on host-side counters.
@@ -141,7 +125,6 @@ var (
 	saveRegs     = []string{"Engine.PredSaveRegs"}
 	saveCounters = []string{"Engine.PredSaveRegs", "Engine.HotIns", "Engine.HoistedSaves"}
 	sealCounters = []string{"Engine.SASharedRuns", "Engine.SAPrivateRuns"}
-	foldCounters = []string{"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"}
 	hotCounters  = []string{"Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves", "Engine.HotLinkHits"}
 	warmCounters = []string{"Engine.WarmPromotions", "Engine.FirstPromoDispatch"}
 	linkCounters = []string{"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
@@ -153,10 +136,7 @@ var knobs = []knob{
 		off:      slices.Concat(sbIns, sealCounters, hotCounters, linkCounters)},
 	{name: "nosa", of: func(l leg) any { return l.noSA },
 		hostOnly: slices.Concat(saveCounters, sealCounters),
-		off:      slices.Concat(sealCounters, foldCounters)},
-	{name: "saintra", of: func(l leg) any { return l.saIntra },
-		hostOnly: slices.Concat(saveCounters, sealCounters, foldCounters),
-		off:      foldCounters},
+		off:      sealCounters},
 	{name: "nohottier", of: func(l leg) any { return l.noHotTier },
 		hostOnly: slices.Concat(saveRegs, hotCounters, warmCounters, linkCounters),
 		off:      hotCounters},
@@ -418,15 +398,15 @@ func (b *benchRun) compareLegs(ref, got *legRun) error {
 			return got.errorf("Breakdown: (%d %d %d %d) != (%d %d %d %d)", rn, rf, rs, rp, gn, gf, gs, gp)
 		}
 	}
-	// More analysis may only narrow the predicate save/restore set.
-	if ref.pin != nil && ref.leg.saLevel() != got.leg.saLevel() {
-		more, less := ref, got
-		if got.leg.saLevel() > ref.leg.saLevel() {
-			more, less = got, ref
+	// The analysis may only narrow the predicate save/restore set.
+	if ref.pin != nil && ref.leg.noSA != got.leg.noSA {
+		sa, nosa := ref, got
+		if ref.leg.noSA {
+			sa, nosa = got, ref
 		}
-		if m, l := more.pin.Engine.PredSaveRegs, less.pin.Engine.PredSaveRegs; m > l {
+		if m, l := sa.pin.Engine.PredSaveRegs, nosa.pin.Engine.PredSaveRegs; m > l {
 			return got.errorf("Engine.PredSaveRegs: %d (%s) > %d (%s): liveness widened the save set",
-				m, more.leg, l, less.leg)
+				m, sa.leg, l, nosa.leg)
 		}
 	}
 	return nil
@@ -615,8 +595,6 @@ type DiffPreset struct {
 	// engaged, when non-nil, checks that the tier under test ran on one
 	// benchmark, and returns the counters that show it.
 	engaged func(cfg Config, runs []*legRun) ([]Counter, error)
-	// suite, when non-nil, checks engagement over the whole suite.
-	suite func(reports []*DiffReport) error
 }
 
 // LookupDiff returns the differential preset with the given name.
@@ -638,13 +616,13 @@ func (p *DiffPreset) Run(cfg Config) ([]*DiffReport, error) {
 	for _, row := range p.rows {
 		c, l := &cfg.PinCost, row.leg
 		c.NoFastPath, c.NoHotTier = c.NoFastPath && !l.noFastPath, c.NoHotTier && !l.noHotTier
-		c.NoSA, c.SAIntra = c.NoSA && !l.noSA, c.SAIntra && !l.saIntra
+		c.NoSA = c.NoSA && !l.noSA
 	}
 	specs, err := cfg.specs()
 	if err != nil {
 		return nil, err
 	}
-	reports, err := runIndexed(cfg.Workers, len(specs), func(i int) (*DiffReport, error) {
+	return runIndexed(cfg.Workers, len(specs), func(i int) (*DiffReport, error) {
 		b, err := newBenchRun(cfg, specs[i])
 		if err != nil {
 			return nil, p.errorf(specs[i].Name, err)
@@ -658,15 +636,6 @@ func (p *DiffPreset) Run(cfg Config) ([]*DiffReport, error) {
 		}
 		return p.check(b, runs)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if p.suite != nil {
-		if err := p.suite(reports); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-	}
-	return reports, nil
 }
 
 // check verifies each leg on its own and against its reference, in
@@ -782,10 +751,13 @@ var diffPresets = []*DiffPreset{
 			"SuperPin trace event streams identical",
 			"trace invariants hold in both modes",
 			"liveness never widens the predicate save/restore set",
-			"-nosa runs report zero SA sealing and folding",
+			"-nosa runs report zero SA sealing",
 			"icount2 seals superblocks over the shared predecode",
+			"declared and opaque watchpoints (serial Pin) and the SuperPin watchpoint (workers 1) count the same hits",
 		},
-		rows: vary(icountLegs, leg{noSA: true}, leg{}),
+		rows: slices.Concat(vary(icountLegs, leg{noSA: true}, leg{}),
+			vary([]leg{pinLeg("watch"), pinLeg("watch-opaque")}, leg{noSA: true}, leg{}),
+			vary([]leg{spLeg("watch")}, leg{noSA: true, workers: 1}, leg{workers: 1})),
 		engaged: func(cfg Config, runs []*legRun) (cs []Counter, err error) {
 			for _, tool := range icountTools {
 				sa, ref := find(runs, pinLeg(tool)), find(runs, pinLeg(tool).with(leg{noSA: true}))
@@ -799,57 +771,15 @@ var diffPresets = []*DiffPreset{
 					return nil, sa.errorf("Engine.SASharedRuns: 0: no superblock sealed over the shared predecode")
 				}
 			}
-			return cs, nil
-		},
-	},
-	{
-		Name:  "ipdiff",
-		Title: "Interprocedural-analysis differential: full vs -saintra vs -nosa, identical virtual results",
-		Checks: []string{
-			"serial Pin results identical across full/intra/nosa for all four tools (modulo host-only counters)",
-			"tool observables (instruction counts, watchpoint hits) identical across tiers",
-			"predicate save/restore set never widens: full <= intra <= nosa",
-			"intra and nosa tiers report zero fold activity",
-			"SuperPin results and trace streams identical across {full,nosa} x workers {1,4}",
-			"trace invariants hold in every mode",
-			"declared and opaque watchpoints, serial and SuperPin, count the same hits",
-			"somewhere in the suite a save mask narrows below intra and a predicate folds",
-		},
-		// icount2 runs under the profiler so the tiers also compare
-		// profile streams; the declared watchpoint folds, the opaque one
-		// cannot, so its save count isolates pure mask narrowing.
-		rows: append(
-			chain([]leg{pinLeg("icount1"), {mode: modePin, tool: "icount2", prof: 997}, pinLeg("watch"), pinLeg("watch-opaque")},
-				leg{}, leg{saIntra: true}, leg{noSA: true}),
-			vary([]leg{stressLegs[0], stressLegs[1], spLeg("watch")},
-				leg{workers: 1}, leg{workers: 4}, leg{noSA: true, workers: 1}, leg{noSA: true, workers: 4})...),
-		engaged: func(_ Config, runs []*legRun) ([]Counter, error) {
-			watch, opaque := find(runs, pinLeg("watch")), find(runs, pinLeg("watch-opaque"))
-			if opaque.out != watch.out {
-				return nil, opaque.errorf("hits: %d != %d (declared vs opaque watchpoint)", watch.out, opaque.out)
+			watch := find(runs, pinLeg("watch"))
+			for _, l := range []leg{pinLeg("watch-opaque"), spLeg("watch").with(leg{workers: 1})} {
+				if r := find(runs, l); r.out != watch.out {
+					return nil, r.errorf("hits: %d != %d (%s)", watch.out, r.out, watch.leg)
+				}
 			}
-			if sp := find(runs, spLeg("watch").with(leg{workers: 1})); sp.out != watch.out {
-				return nil, sp.errorf("hits: %d != %d (serial vs SuperPin watchpoint)", watch.out, sp.out)
-			}
-			saved := func(d leg) uint64 { return find(runs, pinLeg("watch-opaque").with(d)).pin.Engine.PredSaveRegs }
-			return []Counter{{"hits", watch.out},
-				{"folded_sites", watch.pin.Engine.FoldedSites}, {"folded_preds", watch.pin.Engine.FoldedPreds},
-				{"saved_full", saved(leg{})}, {"saved_intra", saved(leg{saIntra: true})}, {"saved_nosa", saved(leg{noSA: true})},
-			}, nil
-		},
-		suite: func(reports []*DiffReport) error {
-			narrowed, folded := false, false
-			for _, r := range reports {
-				narrowed = narrowed || r.Counter("saved_full") < r.Counter("saved_intra")
-				folded = folded || r.Counter("folded_preds") > 0
-			}
-			if !narrowed {
-				return fmt.Errorf("interprocedural liveness never narrowed a save mask below the intraprocedural tier on any benchmark")
-			}
-			if !folded {
-				return fmt.Errorf("value analysis never folded a declared predicate on any benchmark")
-			}
-			return nil
+			return append(cs, Counter{"watch.hits", watch.out},
+				Counter{"watch.saved_regs", watch.pin.Engine.PredSaveRegs},
+				Counter{"watch.saved_regs_nosa", find(runs, pinLeg("watch").with(leg{noSA: true})).pin.Engine.PredSaveRegs}), nil
 		},
 	},
 	{
@@ -894,13 +824,15 @@ var diffPresets = []*DiffPreset{
 		Title: "Host-parallelism differential: 1/2/4/8 workers, identical virtual results",
 		Checks: []string{
 			"SuperPin result deep-equal at 1/2/4/8 workers (cycles, slices, stats, stdout, profile)",
+			"SuperPin result deep-equal with -nosa at 1 and 4 workers",
 			"trace event streams byte-identical at every worker count",
 			"breakdown quadruple identical at every worker count",
 			"tool totals equal the native instruction count in every run",
 			"trace invariants hold at every worker count",
 			"at least two slices, so workers had slices to share",
 		},
-		rows:      vary(stressLegs, leg{workers: 1}, leg{workers: 2}, leg{workers: 4}, leg{workers: 8}),
+		rows: vary(stressLegs, leg{workers: 1}, leg{workers: 2}, leg{workers: 4}, leg{workers: 8},
+			leg{noSA: true, workers: 1}, leg{noSA: true, workers: 4}),
 		minSlices: 2,
 	},
 	{

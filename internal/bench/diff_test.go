@@ -51,16 +51,10 @@ func TestRunFastPathDiff(t *testing.T) {
 }
 
 // TestRunSADiff: the load-time static analysis on and off agree on
-// every virtual result, and the analysis seals shared superblocks.
+// every virtual result under the counting and watchpoint tools, the
+// analysis seals shared superblocks, and the watchpoints agree on hits.
 func TestRunSADiff(t *testing.T) {
 	runPreset(t, obsTestConfig(), "sadiff", "gzip", "gcc", "mgrid")
-}
-
-// TestRunIPDiff: the full, intraprocedural and disabled analysis tiers
-// agree on every virtual result under four tools, serially and under
-// SuperPin at 1 and 4 workers.
-func TestRunIPDiff(t *testing.T) {
-	runPreset(t, obsTestConfig(), "ipdiff", "gzip", "mgrid")
 }
 
 // TestRunProfDiff: native, serial Pin and merged SuperPin profiles are
@@ -69,8 +63,9 @@ func TestRunProfDiff(t *testing.T) {
 	runPreset(t, obsTestConfig(), "profdiff", "gzip", "gcc", "mgrid")
 }
 
-// TestRunParDiff: SuperPin at 1, 2, 4 and 8 host workers is
-// byte-identical — results, trace streams, breakdowns.
+// TestRunParDiff: SuperPin at 1, 2, 4 and 8 host workers, and without
+// the static analysis at 1 and 4, is byte-identical — results, trace
+// streams, breakdowns.
 func TestRunParDiff(t *testing.T) {
 	runPreset(t, obsTestConfig(), "pardiff", "gzip", "mgrid")
 }
@@ -297,7 +292,6 @@ var (
 	warmStats = []string{"Engine.WarmPromotions", "Engine.FirstPromoDispatch"}
 	linkStats = []string{"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
 	sealStats = []string{"Engine.SASharedRuns", "Engine.SAPrivateRuns"}
-	foldStats = []string{"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"}
 
 	// pinHostOnly are the only serial-Pin fields each preset's pairs
 	// may disagree on.
@@ -305,7 +299,6 @@ var (
 		"fastpathdiff": slices.Concat(hotStats, warmStats, linkStats, sealStats,
 			[]string{"Engine.SuperblockIns", "Engine.PredSaveRegs"}),
 		"sadiff":    slices.Concat(sealStats, []string{"Engine.PredSaveRegs", "Engine.HotIns", "Engine.HoistedSaves"}),
-		"ipdiff":    slices.Concat(sealStats, foldStats, []string{"Engine.PredSaveRegs", "Engine.HotIns", "Engine.HoistedSaves"}),
 		"jitdiff":   slices.Concat(hotStats, warmStats, linkStats, []string{"Engine.PredSaveRegs"}),
 		"cachediff": slices.Concat(hotStats, warmStats, linkStats, []string{"Engine.SuperblockIns"}),
 	}
@@ -314,8 +307,7 @@ var (
 	tierOff = map[string][]string{
 		"nofastpath": slices.Concat(hotStats, linkStats, sealStats, []string{"Engine.SuperblockIns"}),
 		"nohottier":  hotStats,
-		"nosa":       slices.Concat(sealStats, foldStats),
-		"saintra":    foldStats,
+		"nosa":       sealStats,
 	}
 )
 
@@ -416,7 +408,7 @@ func TestDiffMatrixMutations(t *testing.T) {
 					was, now := bump(at(resultValue(got), path))
 					err := b.compareLegs(ref, got)
 					switch {
-					case declared(path, hostOnly) && path == "Engine.PredSaveRegs" && ref.leg.saLevel() != row.leg.saLevel():
+					case declared(path, hostOnly) && path == "Engine.PredSaveRegs" && ref.leg.noSA != row.leg.noSA:
 						// Host-only, but bounded by the monotone save-set check.
 						if err != nil && !strings.Contains(err.Error(), "liveness widened the save set") {
 							t.Errorf("%s %s: %v", row.leg, path, err)

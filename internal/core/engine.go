@@ -223,14 +223,10 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 
 	// Load-time static analysis: verify the image once, then share the
 	// read-only liveness/predecode summaries with every slice engine the
-	// run forks (-nosa skips both, -saintra restricts to the
-	// intraprocedural tier; the artifact store only caches the full
-	// tier).
+	// run forks (-nosa skips both).
 	if !opts.PinCost.NoSA {
 		var an *sa.Analysis
-		if opts.PinCost.SAIntra {
-			an = sa.AnalyzeIntra(program)
-		} else if opts.Artifacts != nil {
+		if opts.Artifacts != nil {
 			an = opts.Artifacts.Analysis(e.artKey, program)
 		} else {
 			an = sa.Analyze(program)
@@ -251,14 +247,6 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 		// Adopt the shared predecoded views onto the freshly loaded
 		// image; slices inherit them through the copy-on-write fork.
 		m.AdoptPredecode(opts.Artifacts.Predecode(e.artKey, program))
-	}
-	if e.sa != nil {
-		// Register the image as analyzed code so guest stores into it
-		// retract the analysis's fold verdicts. Slice images inherit the
-		// ranges (and the latch) through the copy-on-write fork.
-		for _, s := range program.Segments {
-			m.MarkCode(s.Addr, uint32(len(s.Data)))
-		}
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop

@@ -116,9 +116,6 @@ func PublishPinMetrics(m *obs.Metrics, res *PinResult) {
 	m.Add("pin.hot.hoisted_saves", res.Engine.HoistedSaves)
 	m.Add("pin.hot.link_hits", res.Engine.HotLinkHits)
 	m.Add("pin.hot.warm_promotions", res.Engine.WarmPromotions)
-	m.Add("pin.sa.ip.folded_sites", res.Engine.FoldedSites)
-	m.Add("pin.sa.ip.folded", res.Engine.FoldedPreds)
-	m.Add("pin.sa.ip.hoists", res.Engine.IPHoists)
 	m.Add("pin.cache.lookups", res.Cache.Lookups)
 	m.Add("pin.cache.misses", res.Cache.Misses)
 	m.Add("pin.cache.compiles", res.Cache.Compiles)

@@ -137,14 +137,10 @@ func RunPinCached(cfg kernel.Config, program *asm.Program, factory ToolFactory, 
 	e.AddTraceInstrumenter(tool.Instrument)
 
 	// Load-time static analysis: verify the image and hand the engine the
-	// liveness/predecode summaries (-nosa skips both, -saintra restricts
-	// to the intraprocedural tier). The artifact store only caches
-	// full-tier analyses, so the intra tier always computes fresh.
+	// liveness/predecode summaries (-nosa skips both).
 	var an *sa.Analysis
 	if !cost.NoSA {
-		if cost.SAIntra {
-			an = sa.AnalyzeIntra(program)
-		} else if store != nil {
+		if store != nil {
 			an = store.Analysis(key, program)
 		} else {
 			an = sa.Analyze(program)
@@ -153,12 +149,6 @@ func RunPinCached(cfg kernel.Config, program *asm.Program, factory ToolFactory, 
 			return nil, err
 		}
 		e.SA = an
-		// Register the image as analyzed code: a guest store into it
-		// retracts the analysis's compile-time fold verdicts
-		// (mem.CodeWritten gates them in the engine).
-		for _, s := range program.Segments {
-			m.MarkCode(s.Addr, uint32(len(s.Data)))
-		}
 	}
 	var warm *jit.WarmSeed
 	if store != nil {

@@ -123,49 +123,14 @@ type AnalysisFn func(ctx *Ctx)
 // cheap, and guarding a full AnalysisFn (InsertThenCall).
 type PredicateFn func(ctx *Ctx) bool
 
-// CondKind enumerates the comparison shapes a tool can declare for an
-// If-predicate (InsertIfCondCall). CondNone marks an opaque predicate.
-type CondKind uint8
-
-const (
-	CondNone CondKind = iota
-	CondEQ            // R[Reg] == Imm
-	CondNE            // R[Reg] != Imm
-	CondLTU           // R[Reg] <  Imm, unsigned
-	CondGEU           // R[Reg] >= Imm, unsigned
-)
-
-// Cond is the declarative form of an If-predicate: the tool asserts its
-// If callback returns exactly `R[Reg] <op> Imm` at this site. A
-// declared shape lets the engine consult the static value analysis and
-// fold the predicate where the comparison is decided at compile time.
-type Cond struct {
-	Kind CondKind
-	Reg  uint8
-	Imm  uint32
-}
-
-// Fold is the engine's compile-time verdict on a declared predicate.
-type Fold uint8
-
-const (
-	FoldUnknown Fold = iota // not declared, not provable, or analysis off
-	FoldTrue                // predicate is true on every execution of the site
-	FoldFalse               // predicate is false on every execution of the site
-)
-
 // Call is one analysis-call site attached to an instruction.
 // Either Fn is set (a plain InsertCall), or If/Then are set (an inlined
 // InsertIfCall guarding an InsertThenCall; Then may be nil for a bare
-// if). Cond optionally declares the If predicate's shape
-// (InsertIfCondCall); Fold is stamped by the engine at compile time
-// when the static value analysis decides the declared comparison.
+// if).
 type Call struct {
 	Fn   AnalysisFn
 	If   PredicateFn
 	Then AnalysisFn
-	Cond Cond
-	Fold Fold
 }
 
 // CompiledIns is one guest instruction in a compiled trace together with

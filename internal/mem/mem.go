@@ -109,30 +109,6 @@ var zeroPage page
 
 func init() { zeroPage.code.Store(predecode(&zeroPage.data)) }
 
-// arenaSlab is the number of page frames allocated per arena slab. Each
-// slab is ~128 KiB; slabs are never reused, so a released page keeps its
-// slab alive until every frame in it is unreferenced (a small, bounded
-// retention in exchange for one allocation per 32 materializations).
-const arenaSlab = 32
-
-// pageArena is a slab allocator for page frames. Each Memory owns one,
-// so parallel workers materializing copy-on-write pages allocate from
-// disjoint arenas instead of contending on the global heap for every
-// 4 KiB frame.
-type pageArena struct {
-	free []page
-}
-
-// alloc returns a fresh zeroed page frame.
-func (a *pageArena) alloc() *page {
-	if len(a.free) == 0 {
-		a.free = make([]page, arenaSlab)
-	}
-	pg := &a.free[0]
-	a.free = a.free[1:]
-	return pg
-}
-
 // Fault describes an invalid guest memory access.
 type Fault struct {
 	Addr   uint32
@@ -154,15 +130,10 @@ func (f *Fault) Error() string {
 // time (the kernel hands each image to at most one worker per guest
 // phase). Distinct images that *share pages* through Fork may be used
 // concurrently — the page-level atomics above carry that safely — but
-// the Memory struct itself (page map, TLBs, arena, counters) is never
+// the Memory struct itself (page map, TLBs, counters) is never
 // shared between goroutines without a handoff.
 type Memory struct {
 	pages map[uint32]*page
-
-	// arena allocates page frames in slabs, so a fork-heavy parallel run
-	// materializes copy-on-write pages from per-image arenas instead of
-	// hammering the global allocator from every worker at once.
-	arena pageArena
 
 	// One-entry software TLBs: the page number and page of the last read
 	// and the last write. Flushed on Fork, Release and whenever caching
@@ -181,16 +152,6 @@ type Memory struct {
 
 	// noCache disables the TLBs and the predecode cache (SetCaching).
 	noCache bool
-
-	// codeRanges lists the address ranges holding analyzed code
-	// (MarkCode), and codeWritten latches once any store touches a page
-	// overlapping one. Instrumentation engines consult CodeWritten to
-	// retract static-analysis conclusions when the program self-modifies.
-	// Detection is page-granular and sticky, checked only on the
-	// write-TLB miss path (every page's first store goes through it), so
-	// the store fast path is unaffected.
-	codeRanges  []codeRange
-	codeWritten bool
 
 	// CopyEvents counts copy-on-write page copies performed through this
 	// image since creation. The kernel samples deltas of this counter to
@@ -224,46 +185,6 @@ func (m *Memory) SetCaching(on bool) {
 	m.flushTLB()
 }
 
-// codeRange is one half-open address range registered via MarkCode.
-type codeRange struct{ lo, hi uint32 }
-
-// MarkCode registers [addr, addr+size) as code whose static analysis
-// the owning engine relies on. Subsequent stores into any page
-// overlapping a marked range latch CodeWritten. Ranges accumulate;
-// marking is expected once per loaded segment.
-func (m *Memory) MarkCode(addr, size uint32) {
-	if size == 0 {
-		return
-	}
-	m.codeRanges = append(m.codeRanges, codeRange{lo: addr, hi: addr + size - 1})
-	// Drop the cached write page: the miss path is where overlap is
-	// checked, and a page cached before this range existed would
-	// otherwise bypass it.
-	m.wpn, m.wpg = invalidPN, nil
-}
-
-// CodeWritten reports whether any store has touched a page overlapping
-// a MarkCode range — conservatively, whether the analyzed code may have
-// been modified since loading.
-func (m *Memory) CodeWritten() bool { return m.codeWritten }
-
-// noteWrite latches codeWritten when page pn overlaps a marked code
-// range. Called only on write-TLB misses; a hit means this page already
-// passed through here since the ranges were registered.
-func (m *Memory) noteWrite(pn uint32) {
-	if m.codeWritten || len(m.codeRanges) == 0 {
-		return
-	}
-	lo := pn << PageShift
-	hi := lo + PageSize - 1
-	for _, r := range m.codeRanges {
-		if r.lo <= hi && r.hi >= lo {
-			m.codeWritten = true
-			return
-		}
-	}
-}
-
 // Fork returns a copy-on-write clone of m. Both images share all current
 // pages; each side copies a page when it first writes to it. Forking is
 // safe while other images sharing m's pages run on other workers: it
@@ -271,11 +192,6 @@ func (m *Memory) noteWrite(pn uint32) {
 // a page it was about to start sharing anyway.
 func (m *Memory) Fork() *Memory {
 	child := &Memory{pages: make(map[uint32]*page, len(m.pages)), noCache: m.noCache}
-	// The child watches the same code ranges and inherits the latch
-	// (its image contains the modified bytes too). The slice is copied:
-	// both sides may keep appending independently.
-	child.codeRanges = append([]codeRange(nil), m.codeRanges...)
-	child.codeWritten = m.codeWritten
 	child.flushTLB()
 	for pn, pg := range m.pages { //detguard:ok per-page refcounts, order-free
 		pg.refs.Add(1)
@@ -345,16 +261,15 @@ func (m *Memory) writePage(addr uint32) *page {
 		pg.code.Store(nil)
 		return pg
 	}
-	m.noteWrite(pn)
 	pg := m.pages[pn]
 	switch {
 	case pg == nil:
-		pg = m.arena.alloc()
+		pg = new(page)
 		pg.refs.Store(1)
 		m.pages[pn] = pg
 		m.TouchedPages++
 	case pg.refs.Load() > 1:
-		cp := m.arena.alloc()
+		cp := new(page)
 		cp.data = pg.data
 		cp.refs.Store(1)
 		pg.refs.Add(-1)

@@ -169,22 +169,6 @@ func (i *Ins) InsertIfCall(when IPoint, pred PredicateFn) {
 	*list = append(*list, jit.Call{If: pred})
 }
 
-// InsertIfCondCall is InsertIfCall plus a declaration of the
-// predicate's shape: the tool asserts pred returns exactly
-// `R[cond.Reg] <op> cond.Imm` at this site. When the engine's static
-// value analysis decides the comparison at compile time, the site is
-// folded — the predicate is not evaluated at run time (its verdict is
-// known), though its virtual-cycle charge is unchanged, keeping virtual
-// results byte-identical. A declaration the predicate does not honor is
-// a programmer error in the tool, like a nil predicate.
-func (i *Ins) InsertIfCondCall(when IPoint, pred PredicateFn, cond jit.Cond) {
-	if pred == nil {
-		panic("pin: InsertIfCondCall with nil predicate")
-	}
-	list := i.calls(when)
-	*list = append(*list, jit.Call{If: pred, Cond: cond})
-}
-
 // InsertThenCall attaches the guarded routine for the immediately
 // preceding InsertIfCall at the same point. It panics if there is no
 // unpaired InsertIfCall, matching Pin's usage contract.

@@ -69,14 +69,6 @@ type CostModel struct {
 	// for the same plumbing reason.
 	NoSA bool
 
-	// SAIntra restricts the static analysis to its intraprocedural tier
-	// (sa.AnalyzeIntra): no call-graph recovery, no cross-call liveness,
-	// no value analysis, no predicate folding. Host-side only like NoSA
-	// — `spbench -exp ipdiff` proves virtual results are byte-identical
-	// across full/intra/off — and rides in the cost model for the same
-	// plumbing reason. Ignored when NoSA is set.
-	SAIntra bool
-
 	// NoHotTier disables the second-tier trace compiler: no promotion of
 	// hot traces, so no profile-guided hot-successor links, no
 	// register-cached superblock execution and no predicate-spill
@@ -130,14 +122,6 @@ func DefaultCost() CostModel {
 // trace's hot-successor link. All zero with the hot tier disabled; none
 // affect virtual-cycle results.
 //
-// FoldedSites, FoldedPreds and IPHoists belong to the interprocedural
-// tier: call sites whose declared If-predicate the value analysis
-// decided at compile time (FoldedSites, stamped once per compilation),
-// run-time predicate evaluations skipped because of a folded verdict
-// (FoldedPreds), and predicate spills suppressed by the hot tier's
-// all-folded-site hoisting rule (IPHoists, a subset of HoistedSaves).
-// Host-side, like every other counter here.
-//
 // WarmPromotions counts the subset of HotPromotions triggered at compile
 // time by the artifact cache's warm-start seed rather than earned
 // through this run's own dispatch counting. FirstPromoDispatch records
@@ -158,9 +142,6 @@ type Stats struct {
 	HotIns        uint64
 	HoistedSaves  uint64
 	HotLinkHits   uint64
-	FoldedSites   uint64
-	FoldedPreds   uint64
-	IPHoists      uint64
 
 	WarmPromotions     uint64
 	FirstPromoDispatch uint64
@@ -441,9 +422,6 @@ func (e *Engine) PublishMetrics(m *obs.Metrics, prefix string) {
 	m.Add(prefix+".hot.hoisted_saves", e.stats.HoistedSaves)
 	m.Add(prefix+".hot.link_hits", e.stats.HotLinkHits)
 	m.Add(prefix+".hot.warm_promotions", e.stats.WarmPromotions)
-	m.Add(prefix+".sa.ip.folded_sites", e.stats.FoldedSites)
-	m.Add(prefix+".sa.ip.folded", e.stats.FoldedPreds)
-	m.Add(prefix+".sa.ip.hoists", e.stats.IPHoists)
 	cs := e.cache.Stats()
 	m.Add(prefix+".cache.lookups", cs.Lookups)
 	m.Add(prefix+".cache.misses", cs.Misses)
@@ -1049,52 +1027,15 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 // runCall's predicate save/restore can skip dead registers. Instructions
 // without calls are left unstamped (the masks are only consulted at call
 // sites).
-//
-// If-calls carrying a declared predicate shape (InsertIfCondCall) are
-// additionally offered to the value analysis: a comparison ProveCond
-// decides gets its Fold verdict stamped, and runCall skips evaluating
-// the predicate there — guarded at run time by Mem.CodeWritten, which
-// retracts every verdict if the program modifies its code after load.
 func (e *Engine) annotateLiveness(a *sa.Analysis, ct *jit.CompiledTrace) {
 	for i := range ct.Ins {
 		ci := &ct.Ins[i]
 		if len(ci.Before) > 0 {
 			ci.LiveBefore = a.LiveIn(ci.Addr)
-			e.stampFolds(a, ci.Addr, ci.Before)
 		}
 		if len(ci.After) > 0 {
 			ci.LiveAfter = a.LiveOut(ci.Addr)
-			e.stampFolds(a, ci.Addr, ci.After)
 		}
-	}
-}
-
-// stampFolds resolves declared predicate shapes at one call site
-// against the value analysis. Both insertion points of an instruction
-// prove against the state entering it: predicates are pure observers,
-// so the registers they compare are unchanged until the instruction's
-// own writeback, and After-calls on writers of their compared register
-// are the tool's error by the InsertIfCondCall contract.
-func (e *Engine) stampFolds(a *sa.Analysis, addr uint32, calls []jit.Call) {
-	for i := range calls {
-		c := &calls[i]
-		if c.If == nil || c.Cond.Kind == jit.CondNone || c.Fold != jit.FoldUnknown {
-			continue
-		}
-		res, proven := a.ProveCond(addr, sa.Cond{
-			Kind: sa.CondKind(c.Cond.Kind),
-			Reg:  c.Cond.Reg,
-			Imm:  c.Cond.Imm,
-		})
-		if !proven {
-			continue
-		}
-		if res {
-			c.Fold = jit.FoldTrue
-		} else {
-			c.Fold = jit.FoldFalse
-		}
-		e.stats.FoldedSites++
 	}
 }
 
@@ -1147,16 +1088,7 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32, hoisted bool) k
 	e.stats.IfCalls++
 	cy := cost.IfCall
 	var fire bool
-	if c.Fold != jit.FoldUnknown && !ctx.Mem.CodeWritten() {
-		// The value analysis decided this predicate at compile time; the
-		// evaluation (and its spill) is skipped, the verdict substituted.
-		// The virtual IfCall charge stands — folding is host-side work
-		// elimination, virtual results stay byte-identical. CodeWritten
-		// retracts the verdict if the program has modified its code since
-		// the analysis read it.
-		e.stats.FoldedPreds++
-		fire = c.Fold == jit.FoldTrue
-	} else if hoisted {
+	if hoisted {
 		e.stats.HoistedSaves++
 		fire = c.If(ctx)
 	} else {

@@ -169,11 +169,6 @@ func writtenMask(ins []jit.CompiledIns) uint32 {
 //     enclosing it. SuperPin's boundary probe lands here: the forced
 //     trace split at the probe PC cuts the loop body into traces that
 //     chain through the header rather than self-looping.
-//   - all-folded (interprocedural tier): every If-call at the site
-//     carries a compile-time Fold verdict from the value analysis, so
-//     no predicate is ever evaluated there — runCall substitutes the
-//     verdicts — and the spill guards nothing. Counted separately as
-//     IPHoists.
 //
 // Either way the iterations executed before promotion already paid the
 // spill; promotion stops repaying it. Suppression is sound regardless of
@@ -211,10 +206,6 @@ func (e *Engine) hoistFlags(ct *jit.CompiledTrace, hotExit uint32, hasExit bool)
 		if !hoist[i] && hasExit && e.SA.Dominates(hotExit, addr) {
 			hoist[i] = true
 		}
-		if !hoist[i] && allFolded(&ct.Ins[i]) {
-			hoist[i] = true
-			e.stats.IPHoists++
-		}
 		any = any || hoist[i]
 	}
 	if !any {
@@ -237,21 +228,4 @@ func hasIfCall(ci *jit.CompiledIns) bool {
 		}
 	}
 	return false
-}
-
-// allFolded reports whether every If-call at a compiled instruction was
-// folded by the value analysis (no predicate will ever be evaluated
-// there while the verdicts hold).
-func allFolded(ci *jit.CompiledIns) bool {
-	for i := range ci.Before {
-		if c := &ci.Before[i]; c.Fn == nil && c.Fold == jit.FoldUnknown {
-			return false
-		}
-	}
-	for i := range ci.After {
-		if c := &ci.After[i]; c.Fn == nil && c.Fold == jit.FoldUnknown {
-			return false
-		}
-	}
-	return true
 }

@@ -1,91 +1,50 @@
-// Call-graph recovery and per-function register summaries for the
-// interprocedural liveness tier (DESIGN §11).
+// Call-graph recovery for the verifier's function-level warnings
+// (unreachable-fn, call-imbalance).
 //
-// Functions are discovered structurally: the program entry, every
-// resolved call-edge target (direct jal calls plus jalr calls patched
-// by the value analysis), and every symbol that labels a discovered
-// block leader. A function's body is the closure of its entry over
-// flow and call-continuation edges — call edges leave the function, so
-// a callee's blocks are not its caller's (though bodies may share
-// blocks when code is reached both ways).
-//
-// Two summaries are computed as fixpoints over the strongly connected
-// components of the call graph, callees first:
-//
-//   - mayDef[f]: registers f may modify, transitively through callees.
-//     A least fixpoint from the empty set; any statically unknown
-//     control inside the body (an unresolved call, a cut run) degrades
-//     it to all registers.
-//   - mustKill[f]: registers f certainly overwrites on every path from
-//     entry to any of its returns, again through callees. A greatest
-//     fixpoint from the full set (sound for mutual recursion: the
-//     intersection only descends), with a forward must-dataflow inside
-//     each body.
-//
-// Interprocedural liveness consumes both: at a resolved call site the
-// registers live across the call are the callee's entry liveness plus
-// the continuation's liveness minus what every callee certainly kills;
-// at a return block, the union of the continuation liveness of every
-// resolved call site of the owning functions.
+// Functions are discovered structurally from direct edges: the program
+// entry, every jal call target, and every symbol that labels a
+// discovered block leader. A function's body is the closure of its
+// entry over flow and call-continuation edges — call edges leave the
+// function, so a callee's blocks are not its caller's (though bodies
+// may share blocks when code is reached both ways). Liveness does not
+// consult the call graph; it keeps treating every call as opaque.
 package sa
 
 import (
 	"sort"
+
+	"superpin/internal/isa"
+	"superpin/internal/kernel"
 )
 
-// callInfo caches a resolved call block's shape for the liveness
-// transfer.
-type callInfo struct {
-	callees []int  // callee function entry block ids
-	ret     int    // continuation block id, -1 when off-image
-	kill    uint32 // ∩ mustKill over callees
+// isReturnBlock reports the canonical return shape: jalr r0, lr, 0.
+func (a *Analysis) isReturnBlock(b *block) bool {
+	in := a.regions[b.ri].ins[b.end-1]
+	return in.Op == isa.OpJALR && in.Rd == isa.RegZero &&
+		in.Rs1 == isa.RegLR && in.Imm == 0
 }
 
-// ipInfo is the interprocedural summary attached to a full Analysis.
-type ipInfo struct {
-	fns      []int            // function entry block ids, sorted
-	body     map[int][]int    // fn → body block ids (sorted)
-	owners   [][]int          // block id → owning fn entries (sorted)
-	mayDef   map[int]uint32   // fn → may-modify mask (r0 stripped)
-	mustKill map[int]uint32   // fn → certain-kill mask (r0 stripped)
-	wildFn   map[int]bool     // fn body contains statically unknown control
-	callAt   map[int]callInfo // resolved call block id → shape
-	retSites map[int][]int    // fn → continuation block ids of its call sites
-	retBlks  map[int][]int    // fn → canonical return blocks in its body
-	wild     bool             // whole-program wildness (classifyWild)
+// isDirectCall reports a jal call whose callee entry and return
+// continuation both resolved to discovered blocks.
+func (a *Analysis) isDirectCall(b *block) bool {
+	in := a.regions[b.ri].ins[b.end-1]
+	return in.Op == isa.OpJAL && in.Rd != isa.RegZero &&
+		len(b.succs) == 2 && b.kinds[0] == edgeCall && b.kinds[1] == edgeRet
 }
 
-// blockDefs returns the union of registers written anywhere in the
-// block, r0 stripped.
-func (a *Analysis) blockDefs(b *block) uint32 {
-	r := a.regions[b.ri]
-	var def uint32
-	for i := b.start; i < b.end; i++ {
-		_, d := useDef(r.ins[i])
-		def |= d
-	}
-	return def &^ 1
+// opaque reports a block whose continuation the call graph cannot
+// account for: any conservative block other than a canonical return or
+// a resolved direct call (an indirect jalr, a run cut short).
+func (a *Analysis) opaque(b *block) bool {
+	return b.conservative && !a.isReturnBlock(b) && !a.isDirectCall(b)
 }
 
-// buildInterproc recovers the call graph over the current (possibly
-// patched) CFG and computes the function summaries.
-func (a *Analysis) buildInterproc() *ipInfo {
-	ip := &ipInfo{
-		body:     make(map[int][]int),
-		owners:   make([][]int, len(a.blocks)),
-		mayDef:   make(map[int]uint32),
-		mustKill: make(map[int]uint32),
-		wildFn:   make(map[int]bool),
-		callAt:   make(map[int]callInfo),
-		retSites: make(map[int][]int),
-		retBlks:  make(map[int][]int),
-	}
-
-	// Function entries: program entry, call-edge targets, symbol-labeled
-	// leaders.
+// functions returns the function entry block ids, sorted: the program
+// entry, every call-edge target, and every symbol-labeled block leader.
+func (a *Analysis) functions() []int {
 	fnSet := make(map[int]bool)
-	if e := a.entryBlockID(); e >= 0 {
-		fnSet[e] = true
+	if a.entryBlock >= 0 {
+		fnSet[a.entryBlock] = true
 	}
 	for _, b := range a.blocks {
 		for i, s := range b.succs {
@@ -95,271 +54,71 @@ func (a *Analysis) buildInterproc() *ipInfo {
 		}
 	}
 	for _, addr := range a.prog.Symbols { //detguard:ok set insertion only
-		if sb := a.blockAt(addr); sb != nil {
-			if a.regions[sb.ri].wordAddr(sb.start) == addr {
-				fnSet[int(a.regions[sb.ri].blockOf[sb.start])] = true
-			}
+		if sb := a.blockAt(addr); sb != nil && a.regions[sb.ri].wordAddr(sb.start) == addr {
+			fnSet[int(a.regions[sb.ri].blockOf[sb.start])] = true
 		}
 	}
+	fns := make([]int, 0, len(fnSet))
 	for f := range fnSet { //detguard:ok sorted below
-		ip.fns = append(ip.fns, f)
+		fns = append(fns, f)
 	}
-	sort.Ints(ip.fns)
-
-	// Bodies, per-block call shapes, and the call multigraph.
-	callees := make(map[int][]int) // fn → callee fns (with duplicates)
-	for _, f := range ip.fns {
-		var body []int
-		seen := make(map[int]bool)
-		stack := []int{f}
-		seen[f] = true
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			body = append(body, id)
-			b := a.blocks[id]
-			if b.conservative && !a.isReturnBlock(b) {
-				ip.wildFn[f] = true
-			}
-			if a.isReturnBlock(b) {
-				ip.retBlks[f] = append(ip.retBlks[f], id)
-			}
-			isCall := false
-			for i := range b.succs {
-				if b.kinds[i] == edgeCall {
-					isCall = true
-				}
-			}
-			if isCall && !b.conservative {
-				ci := callInfo{ret: -1}
-				for i, s := range b.succs {
-					if b.kinds[i] == edgeCall {
-						ci.callees = append(ci.callees, s)
-						callees[f] = append(callees[f], s)
-					} else {
-						ci.ret = s
-					}
-				}
-				ip.callAt[id] = ci
-			}
-			for i, s := range b.succs {
-				if b.kinds[i] == edgeCall {
-					continue
-				}
-				if !seen[s] {
-					seen[s] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-		sort.Ints(body)
-		ip.body[f] = body
-		sort.Ints(ip.retBlks[f])
-	}
-	for _, f := range ip.fns {
-		for _, id := range ip.body[f] {
-			ip.owners[id] = append(ip.owners[id], f)
-		}
-	}
-	for _, id := range sortedKeys(ip.callAt) {
-		ci := ip.callAt[id]
-		if ci.ret < 0 {
-			continue
-		}
-		for _, c := range ci.callees {
-			ip.retSites[c] = append(ip.retSites[c], ci.ret)
-		}
-	}
-
-	// SCCs of the call graph, callees first (Tarjan emission order).
-	sccs := tarjanSCC(ip.fns, callees)
-
-	// mayDef: least fixpoint, ascending from empty.
-	for _, scc := range sccs {
-		for stable := false; !stable; {
-			stable = true
-			for _, f := range scc {
-				md := uint32(0)
-				if ip.wildFn[f] {
-					md = AllRegs &^ 1
-				}
-				for _, id := range ip.body[f] {
-					md |= a.blockDefs(a.blocks[id])
-				}
-				for _, c := range callees[f] {
-					md |= ip.mayDef[c]
-				}
-				if md != ip.mayDef[f] {
-					ip.mayDef[f] = md
-					stable = false
-				}
-			}
-		}
-	}
-
-	// mustKill: greatest fixpoint, descending from all registers.
-	for _, f := range ip.fns {
-		ip.mustKill[f] = AllRegs &^ 1
-	}
-	for _, scc := range sccs {
-		for stable := false; !stable; {
-			stable = true
-			for _, f := range scc {
-				mk := a.fnMustKill(ip, f)
-				if mk != ip.mustKill[f] {
-					ip.mustKill[f] = mk
-					stable = false
-				}
-			}
-		}
-	}
-
-	// Call-site kill masks, now that mustKill has settled.
-	for _, id := range sortedKeys(ip.callAt) {
-		ci := ip.callAt[id]
-		ci.kill = AllRegs &^ 1
-		for _, c := range ci.callees {
-			ci.kill &= ip.mustKill[c]
-		}
-		ip.callAt[id] = ci
-	}
-
-	ip.wild = a.classifyWild()
-	return ip
+	sort.Ints(fns)
+	return fns
 }
 
-// fnMustKill runs the forward certain-kill dataflow over one function
-// body using the current mustKill estimates for callees.
-func (a *Analysis) fnMustKill(ip *ipInfo, f int) uint32 {
-	if ip.wildFn[f] {
-		// Statically unknown control inside the body: nothing is
-		// certainly overwritten on the way to a return.
-		return 0
-	}
-	const unvisited = ^uint32(0) // ⊤ of the must lattice
-	kin := make(map[int]uint32, len(ip.body[f]))
-	for _, id := range ip.body[f] {
-		kin[id] = unvisited
-	}
-	kin[f] = 0
-	work := []int{f}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		b := a.blocks[id]
-		kout := kin[id] | a.blockDefs(b)
+// hasReturn reports whether the body of the function entered at block
+// f contains a canonical return (the function is function shaped).
+func (a *Analysis) hasReturn(f int) bool {
+	seen := map[int]bool{f: true}
+	stack := []int{f}
+	for len(stack) > 0 {
+		b := a.blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		if a.isReturnBlock(b) {
+			return true
+		}
 		for i, s := range b.succs {
-			if b.kinds[i] == edgeCall {
-				continue
-			}
-			cand := kout
-			if b.kinds[i] == edgeRet {
-				if ci, ok := ip.callAt[id]; ok {
-					kill := AllRegs &^ 1
-					for _, c := range ci.callees {
-						kill &= ip.mustKill[c]
-					}
-					cand |= kill
-				}
-				// An unresolved call's continuation gains nothing: the
-				// unknown callee may kill no registers at all.
-			}
-			if old, ok := kin[s]; ok {
-				nv := old & cand
-				if nv != old {
-					kin[s] = nv
-					work = append(work, s)
-				}
+			if b.kinds[i] != edgeCall && !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
 			}
 		}
 	}
-	rets := ip.retBlks[f]
-	if len(rets) == 0 {
-		// A function that never returns kills everything vacuously.
-		return AllRegs &^ 1
-	}
-	mk := AllRegs &^ 1
-	for _, id := range rets {
-		if kin[id] == unvisited {
-			continue // return block unreachable from the entry inside this body
-		}
-		mk &= kin[id] | a.blockDefs(a.blocks[id])
-	}
-	return mk
+	return false
 }
 
-// tarjanSCC returns the strongly connected components of the call
-// graph restricted to nodes, in Tarjan emission order (every SCC
-// before any SCC that calls into it — callees first). Deterministic:
-// nodes are visited in sorted order and edge lists preserve discovery
-// order.
-func tarjanSCC(nodes []int, edges map[int][]int) [][]int {
-	index := make(map[int]int)
-	lowlink := make(map[int]int)
-	onStack := make(map[int]bool)
-	var stack []int
-	var sccs [][]int
-	next := 0
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = next
-		lowlink[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range edges[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				lowlink[v] = min(lowlink[v], lowlink[w])
-			} else if onStack[w] {
-				lowlink[v] = min(lowlink[v], index[w])
+// classifyWild scans the blocks reachable from the entry (over all
+// edge kinds) for control the call graph cannot account for: an
+// opaque block (an indirect jalr that is not a return, a run cut short
+// without a terminator), or a syscall whose number is unknown or
+// provably a spawn (children start at an arbitrary entry with a copy
+// of the register file). A wild program may reach any symbol, so the
+// unreachable-function check stays silent on it.
+func (a *Analysis) classifyWild() bool {
+	if a.entryBlock < 0 {
+		return true
+	}
+	seen := make([]bool, len(a.blocks))
+	stack := []int{a.entryBlock}
+	seen[a.entryBlock] = true
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		b := a.blocks[id]
+		if a.opaque(b) {
+			return true
+		}
+		if a.regions[b.ri].ins[b.end-1].Op == isa.OpSYSCALL {
+			if s := a.syscallNumber(b); !s.known || s.val == kernel.SysSpawn {
+				return true
 			}
 		}
-		if lowlink[v] == index[v] {
-			var scc []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
+		for _, s := range b.succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
 			}
-			sort.Ints(scc)
-			sccs = append(sccs, scc)
 		}
 	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return sccs
-}
-
-// calleeMayDefs rebuilds the summaries on the current graph and
-// returns the callee-entry → may-define map the SCCP return edges
-// consume. Used once per resolution round, before each SCCP sweep.
-func (a *Analysis) calleeMayDefs() map[int]uint32 {
-	ip := a.buildInterproc()
-	out := make(map[int]uint32, len(ip.fns))
-	for _, f := range ip.fns {
-		if ip.wildFn[f] {
-			out[f] = AllRegs
-			continue
-		}
-		out[f] = ip.mayDef[f]
-	}
-	return out
-}
-
-func sortedKeys(m map[int]callInfo) []int {
-	out := make([]int, 0, len(m))
-	for k := range m { //detguard:ok sorted below
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	return false
 }

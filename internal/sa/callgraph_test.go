@@ -2,35 +2,11 @@ package sa
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"superpin/internal/asm"
 )
-
-// TestTarjanSCCHandBuilt checks the SCC decomposition on a hand-built
-// cyclic call graph: a three-cycle calling into a two-cycle, plus an
-// isolated node. The partition, the callees-first emission order and
-// determinism across repeated runs are all pinned.
-func TestTarjanSCCHandBuilt(t *testing.T) {
-	nodes := []int{1, 2, 3, 4, 5, 6}
-	edges := map[int][]int{
-		1: {2},
-		2: {3},
-		3: {1, 4}, // the three-cycle calls into the two-cycle
-		4: {5},
-		5: {4},
-	}
-	want := [][]int{{4, 5}, {1, 2, 3}, {6}}
-	first := tarjanSCC(nodes, edges)
-	if !reflect.DeepEqual(first, want) {
-		t.Fatalf("sccs = %v, want %v (callees before callers)", first, want)
-	}
-	for i := 0; i < 10; i++ {
-		if got := tarjanSCC(nodes, edges); !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d: nondeterministic sccs: %v vs %v", i, got, first)
-		}
-	}
-}
 
 // mutualSrc is a mutually recursive even/odd pair: the call graph's
 // only nontrivial SCC.
@@ -59,12 +35,12 @@ main:
 	syscall
 `
 
-// TestSCCFixpointConverges analyzes a mutually recursive program and
-// pins the interprocedural liveness fixpoint: the mutual-recursion SCC
-// is recovered as one multi-member component, a second liveness sweep
-// over the converged state changes no mask (true fixpoint), and no mask
-// is ever wider than the intraprocedural tier's.
-func TestSCCFixpointConverges(t *testing.T) {
+// TestCallGraphMutualRecursion recovers the direct-call graph of a
+// mutually recursive program: main, even and odd are function entries
+// (symbol-labeled leaders like yes/no are too), even and odd are
+// function shaped, the program is not wild, and no function-level
+// warning is raised.
+func TestCallGraphMutualRecursion(t *testing.T) {
 	prog, err := asm.Assemble(mutualSrc)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -73,37 +49,67 @@ func TestSCCFixpointConverges(t *testing.T) {
 	if a.Err() != nil {
 		t.Fatalf("analyze: %v", a.Err())
 	}
-	if a.ip == nil {
-		t.Fatal("full analysis retained no interprocedural state")
+	if a.classifyWild() {
+		t.Fatal("program with only direct calls and known syscalls classified wild")
 	}
-
-	// Recover the function-level call multigraph from the analysis and
-	// confirm even/odd form the one multi-member SCC.
-	edges := make(map[int][]int)
-	for _, f := range a.ip.fns {
-		for _, b := range a.ip.body[f] {
-			if ci, ok := a.ip.callAt[b]; ok {
-				edges[f] = append(edges[f], ci.callees...)
-			}
+	fns := a.functions()
+	for _, name := range []string{"main", "even", "odd"} {
+		b := a.blockAt(a.Addr(t, name))
+		f := int(a.regions[b.ri].blockOf[b.start])
+		if !slices.Contains(fns, f) {
+			t.Errorf("%s is not a function entry", name)
+		}
+		if name != "main" && !a.hasReturn(f) {
+			t.Errorf("%s: no canonical return in its body", name)
 		}
 	}
-	sccs := tarjanSCC(a.ip.fns, edges)
-	multi := 0
-	for _, scc := range sccs {
-		if len(scc) > 1 {
-			multi++
-			if len(scc) != 2 {
-				t.Fatalf("mutual recursion SCC has %d members, want 2: %v", len(scc), scc)
-			}
+	for _, d := range a.Warnings() {
+		if d.Code == CodeUnreachableFn || d.Code == CodeCallImbalance {
+			t.Errorf("unexpected function-level warning: %s", d)
 		}
 	}
-	if multi != 1 {
-		t.Fatalf("found %d multi-member SCCs, want exactly 1 (even/odd): %v", multi, sccs)
-	}
+}
 
-	// Snapshot every instruction's converged masks, re-run the sweep on
-	// a freshly built graph, and demand bit-identical masks: the
-	// fixpoint is stable, not merely bounded.
+// TestCallGraphIndirectJumpIsWild: a jalr that is not a return leaves
+// the call graph incomplete, so the program is wild and the
+// unreachable-function warning stays silent even for a body nothing
+// calls directly.
+func TestCallGraphIndirectJumpIsWild(t *testing.T) {
+	prog, err := asm.Assemble(`	.entry main
+deadfn:
+	addi r3, r0, 7
+	ret
+main:
+	la r5, deadfn
+	jalr r31, r5, 0
+	li r1, 1
+	li r2, 0
+	syscall
+`)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	a := Analyze(prog)
+	if !a.classifyWild() {
+		t.Fatal("indirect call did not make the program wild")
+	}
+	for _, d := range a.Warnings() {
+		if d.Code == CodeUnreachableFn {
+			t.Fatalf("unreachable-fn reported on a wild program: %s", d)
+		}
+	}
+}
+
+// TestLivenessFixpointStable re-runs the liveness sweep over a
+// converged mutually recursive program and demands bit-identical
+// masks (a true fixpoint, not merely a bounded one), with every call
+// site's live-out the full register file.
+func TestLivenessFixpointStable(t *testing.T) {
+	prog, err := asm.Assemble(mutualSrc)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	a := Analyze(prog)
 	type masks struct{ in, out uint32 }
 	snapshot := func() map[uint32]masks {
 		m := make(map[uint32]masks)
@@ -116,19 +122,16 @@ func TestSCCFixpointConverges(t *testing.T) {
 		return m
 	}
 	before := snapshot()
-	a.computeLiveness(a.buildInterproc())
-	after := snapshot()
-	if !reflect.DeepEqual(before, after) {
+	a.computeLiveness()
+	if !reflect.DeepEqual(before, snapshot()) {
 		t.Fatal("second liveness sweep moved a converged mask")
 	}
-
-	// The interprocedural masks must be monotonically contained in the
-	// intraprocedural tier's.
-	intra := AnalyzeIntra(prog)
-	for addr, m := range before {
-		if w := m.out &^ intra.LiveOut(addr); w != 0 {
-			t.Fatalf("LiveOut(%#x): interprocedural mask %#x wider than intra %#x",
-				addr, m.out, intra.LiveOut(addr))
+	for _, b := range a.blocks {
+		if a.isDirectCall(b) {
+			addr := a.regions[b.ri].wordAddr(b.end - 1)
+			if got := a.LiveOut(addr); got != AllRegs {
+				t.Errorf("LiveOut(call at %#x) = %#x, want AllRegs", addr, got)
+			}
 		}
 	}
 }

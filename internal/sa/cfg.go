@@ -317,11 +317,7 @@ func (a *Analysis) buildBlocks() {
 			}
 			continue
 		}
-		r1 := r1State{}
-		for i := b.start; i < last; i++ {
-			r1 = trackR1(r1, r.ins[i])
-		}
-		succs, cons, _ := successors(in, r.wordAddr(last), r1)
+		succs, cons, _ := successors(in, r.wordAddr(last), a.syscallNumber(b))
 		b.conservative = cons
 		for _, s := range succs {
 			sb := a.blockAt(s.addr)

@@ -36,7 +36,7 @@ func FuzzAnalyze(f *testing.F) {
 		".entry main\nf: addi r10, r10, -1\nbeq r10, r0, out\ncall f\nout: ret\nmain: li r10, 3\ncall f\nli r1, 1\nsyscall\n",
 		// mutual recursion: even/odd bouncing through two functions
 		".entry main\neven: beq r10, r0, yes\naddi r10, r10, -1\ncall odd\nret\nyes: li r11, 1\nret\nodd: beq r10, r0, no\naddi r10, r10, -1\ncall even\nret\nno: li r11, 0\nret\nmain: li r10, 6\ncall even\nli r1, 1\nsyscall\n",
-		// jalr dispatch through a constant table (the resolvable shape)
+		// jalr dispatch through a constant table (a wild call site)
 		".entry main\nmain: la r4, tab\nlw r5, (r4)\njalr r31, r5, 0\nli r1, 1\nsyscall\n.org 0x2000\nk0: ret\n.org 0x3000\ntab: .word 0x2000\n",
 		// function-shaped body nothing calls (unreachable-fn shape)
 		".entry main\ndead: addi r3, r0, 7\nret\nmain: li r1, 1\nsyscall\n",

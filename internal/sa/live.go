@@ -31,16 +31,21 @@ func useDef(in isa.Inst) (use, def uint32) {
 // (r1..r5); an unknown number, or a spawn (which hands the child a copy
 // of the whole register file), keeps everything observable.
 func (a *Analysis) syscallUse(b *block) uint32 {
-	r := a.regions[b.ri]
-	last := b.end - 1
-	var s r1State
-	for i := b.start; i < last; i++ {
-		s = trackR1(s, r.ins[i])
-	}
-	if s.known && s.val != kernel.SysSpawn {
-		return r.ins[last].SrcRegs() &^ 1
+	if s := a.syscallNumber(b); s.known && s.val != kernel.SysSpawn {
+		return a.regions[b.ri].ins[b.end-1].SrcRegs() &^ 1
 	}
 	return AllRegs &^ 1
+}
+
+// syscallNumber replays the block-local syscall-number constant state
+// up to (excluding) b's terminator.
+func (a *Analysis) syscallNumber(b *block) r1State {
+	r := a.regions[b.ri]
+	var s r1State
+	for i := b.start; i < b.end-1; i++ {
+		s = trackR1(s, r.ins[i])
+	}
+	return s
 }
 
 // computeLiveness runs backward register liveness to a fixpoint over all
@@ -52,21 +57,7 @@ func (a *Analysis) syscallUse(b *block) uint32 {
 // continuation resumes) treat every register as live-out. A provably
 // terminal exit syscall has nothing live-out. Stored masks always carry
 // the r0 bit so a zero mask can mean "not analyzed".
-//
-// With an interprocedural summary (ip != nil) three transfers sharpen,
-// each strictly narrower than the intraprocedural answer, so full-tier
-// masks never widen relative to AnalyzeIntra:
-//
-//   - a resolved call block's live-out is the union of its callees'
-//     entry liveness plus the continuation's liveness minus what every
-//     callee certainly kills (mustKill), instead of all registers;
-//   - a canonical return block's live-out is the union of the
-//     continuation liveness at every resolved call site of the
-//     functions owning it (retLive), instead of all registers —
-//     unless the program is wild, where any call site may be unknown;
-//   - a patched indirect jump propagates its targets' liveness like
-//     any flow edge (the patched graph makes this the ordinary case).
-func (a *Analysis) computeLiveness(ip *ipInfo) {
+func (a *Analysis) computeLiveness() {
 	n := len(a.blocks)
 	if n == 0 {
 		return
@@ -93,55 +84,16 @@ func (a *Analysis) computeLiveness(ip *ipInfo) {
 		bUse[id], bDef[id] = use, def
 	}
 
-	// retLive[f]: registers live at some continuation of a resolved
-	// call to f — what a return from f must preserve. Recomputed at the
-	// top of every sweep from the current liveIn estimates (monotone,
-	// so the combined fixpoint is still the least one).
-	retLive := make(map[int]uint32)
-
 	liveIn := make([]uint32, n)
 	liveOut := make([]uint32, n)
 	for changed := true; changed; {
 		changed = false
-		if ip != nil {
-			for _, f := range ip.fns {
-				var rl uint32
-				if ip.wild {
-					rl = AllRegs &^ 1
-				} else {
-					for _, site := range ip.retSites[f] {
-						rl |= liveIn[site]
-					}
-				}
-				retLive[f] = rl
-			}
-		}
 		for id := n - 1; id >= 0; id-- {
 			b := a.blocks[id]
 			var out uint32
-			switch {
-			case ip != nil && a.isReturnBlock(b):
-				if ip.wild || len(ip.owners[id]) == 0 {
-					out = AllRegs &^ 1
-				} else {
-					for _, f := range ip.owners[id] {
-						out |= retLive[f]
-					}
-				}
-			case b.conservative:
+			if b.conservative {
 				out = AllRegs &^ 1
-			default:
-				if ip != nil {
-					if ci, ok := ip.callAt[id]; ok {
-						for _, c := range ci.callees {
-							out |= liveIn[c]
-						}
-						if ci.ret >= 0 {
-							out |= liveIn[ci.ret] &^ ci.kill
-						}
-						break
-					}
-				}
+			} else {
 				for _, s := range b.succs {
 					out |= liveIn[s]
 				}

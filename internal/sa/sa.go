@@ -11,7 +11,8 @@
 //   - backward register-liveness and stack-depth dataflow per block,
 //     exposed through a compact per-address query API (live.go);
 //   - a guest-binary verifier that rejects malformed images and warns
-//     on suspicious ones (verify.go).
+//     on suspicious ones (verify.go), including function-level warnings
+//     over the direct-call graph (callgraph.go).
 //
 // The Pin engine (internal/pin) consumes the results in two ways: the
 // per-instruction liveness masks let it skip dead registers in the
@@ -85,16 +86,11 @@ const (
 	// nor valid encodings (one summary finding per image).
 	CodeUnreachable
 	// CodeUnreachableFn: a symbol labels a function-shaped body (it
-	// contains a return) that no resolved call edge ever reaches and
-	// that is unreachable from the entry. Interprocedural tier only.
+	// contains a return) that no direct call edge ever reaches and that
+	// is unreachable from the entry.
 	CodeUnreachableFn
-	// CodeIndirectData: an indirect transfer's target set is statically
-	// provable and includes an address that is not a discovered block
-	// leader (a jump or call into data). Interprocedural tier only.
-	CodeIndirectData
 	// CodeCallImbalance: a function provably returns with a nonzero net
-	// stack-pointer delta relative to its entry. Interprocedural tier
-	// only.
+	// stack-pointer delta relative to its entry.
 	CodeCallImbalance
 )
 
@@ -109,7 +105,6 @@ var codeNames = [...]string{
 	CodeSMCStore:       "smc-store",
 	CodeUnreachable:    "unreachable",
 	CodeUnreachableFn:  "unreachable-fn",
-	CodeIndirectData:   "indirect-data",
 	CodeCallImbalance:  "call-imbalance",
 }
 
@@ -200,30 +195,14 @@ type Analysis struct {
 	entryBlock int   // block id of the entry block, -1 if none
 	idom       []int // per block id; -1 = no immediate dominator / not entry-reachable
 	rpo        []int // entry-reachable block ids in reverse postorder
-
-	// Interprocedural tier (nil for AnalyzeIntra): value states for
-	// predicate folding, the image word view they replay against, and
-	// the call-graph summaries behind cross-call liveness.
-	vals *valueInfo
-	img  *imageWords
-	ip   *ipInfo
 }
 
-// Analyze runs the full static-analysis pass over p: CFG recovery, the
-// interprocedural value/call-graph tier (indirect-target resolution,
-// cross-call liveness, predicate-fold proofs), dominators, liveness,
-// stack-depth dataflow, and the verifier. It never fails; malformed
-// images are reported through the diagnostics (Errors/Warnings), and
-// queries about unanalyzable addresses return conservative answers.
-func Analyze(p *asm.Program) *Analysis { return analyze(p, true) }
-
-// AnalyzeIntra runs the intraprocedural pass only — the exact PR 5
-// pipeline, with calls treated as opaque and no value analysis. It is
-// the reference point the `spbench -exp ipdiff` differential holds the
-// interprocedural tier against (the -saintra mode).
-func AnalyzeIntra(p *asm.Program) *Analysis { return analyze(p, false) }
-
-func analyze(p *asm.Program, interproc bool) *Analysis {
+// Analyze runs the static-analysis pass over p: CFG recovery,
+// dominators, liveness, stack-depth dataflow, and the verifier. It
+// never fails; malformed images are reported through the diagnostics
+// (Errors/Warnings), and queries about unanalyzable addresses return
+// conservative answers.
+func Analyze(p *asm.Program) *Analysis {
 	a := &Analysis{prog: p, entryBlock: -1}
 	if p == nil {
 		a.diags = append(a.diags, Diag{Sev: SevError, Code: CodeBadTarget, Msg: "nil program"})
@@ -232,28 +211,15 @@ func analyze(p *asm.Program, interproc bool) *Analysis {
 	a.buildRegions()
 	a.discover()
 	a.buildBlocks()
-	if interproc {
-		// Patch provable indirect edges into the CFG before dominators
-		// and liveness run, so both see the resolved graph.
-		a.resolveValues()
-	}
 	a.computeDominators()
-	if interproc {
-		a.ip = a.buildInterproc()
-		if a.vals != nil {
-			a.vals.ok = a.vals.ok && !a.ip.wild
-			a.vals.stats.ValuesOK = a.vals.ok
-		}
-		a.computeLiveness(a.ip)
-	} else {
-		a.computeLiveness(nil)
-	}
+	a.computeLiveness()
 	a.verify()
-	if interproc {
-		a.verifyInterproc()
-	}
 	return a
 }
+
+// AnalyzeIntra is Analyze, kept for callers that still name the
+// intraprocedural tier (DESIGN §11).
+func AnalyzeIntra(p *asm.Program) *Analysis { return Analyze(p) }
 
 // Diags returns all findings, errors first, in discovery order within
 // each severity.

@@ -166,8 +166,8 @@ func TestLivenessDiamond(t *testing.T) {
 	}
 }
 
-// TestLivenessCallConservatism: to the intraprocedural tier a block
-// ending in a call has statically unknown effects (the callee could run
+// TestLivenessCallConservatism: to the liveness pass a block ending in
+// a call has statically unknown effects (the callee could run
 // arbitrary code), so everything must be live across it. An unprovable
 // syscall number likewise keeps the maximal use set (it could be a
 // spawn, which snapshots every register).
@@ -180,42 +180,13 @@ func TestLivenessCallConservatism(t *testing.T) {
 	b.Label("fn")
 	b.I(isa.OpADDI, isa.RegSys, 10, 0) // r1 from r10: number not provable
 	b.Syscall()                        // could be a spawn
-	a := AnalyzeIntra(b.MustFinish())
+	a := Analyze(b.MustFinish())
 	if got := a.LiveOut(0x1004); got != AllRegs {
 		t.Errorf("LiveOut(call) = %#x, want AllRegs", got)
 	}
 	fn := a.Addr(t, "fn")
 	if got := a.LiveIn(fn + 4); got != AllRegs {
 		t.Errorf("LiveIn(unprovable syscall) = %#x, want AllRegs", got)
-	}
-}
-
-// TestLivenessInterprocNarrows: with the call graph in hand the same
-// program proves r1 dead across the call — the callee certainly
-// overwrites it before the syscall can observe it — so the full tier's
-// mask is strictly narrower than the intraprocedural one, and never
-// wider anywhere.
-func TestLivenessInterprocNarrows(t *testing.T) {
-	b := asm.NewBuilder(0x1000)
-	b.I(isa.OpADDI, 10, isa.RegZero, 5)
-	b.Call("fn")
-	b.I(isa.OpADDI, isa.RegSys, isa.RegZero, 1)
-	b.Syscall()
-	b.Label("fn")
-	b.I(isa.OpADDI, isa.RegSys, 10, 0)
-	b.Syscall()
-	prog := b.MustFinish()
-	full := Analyze(prog)
-	intra := AnalyzeIntra(prog)
-	got := full.LiveOut(0x1004)
-	if got == AllRegs {
-		t.Errorf("LiveOut(call) = %#x: interprocedural tier did not narrow", got)
-	}
-	if got&(1<<isa.RegSys) != 0 {
-		t.Errorf("LiveOut(call) = %#x: r1 is certainly killed by the callee", got)
-	}
-	if wide := got &^ intra.LiveOut(0x1004); wide != 0 {
-		t.Errorf("full tier widened the mask by %#x", wide)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"superpin/internal/asm"
-	"superpin/internal/isa"
 )
 
 // serEnc is a minimal little-endian byte writer.
@@ -84,14 +83,16 @@ func (d *serDec) str() string {
 	return string(d.take(int(n)))
 }
 
-// Serialization format versioning. Version 1 payloads (PR 5 through
-// PR 9) had no header at all; the magic makes them fail decoding
-// deterministically, and the artifact store falls back to a fresh
-// Analyze — old cache entries go cold on a version bump, they never
-// load wrong.
+// Serialization format versioning. Version 1 payloads had no header at
+// all; the magic makes them fail decoding deterministically, and the
+// artifact store falls back to a fresh Analyze — old cache entries go
+// cold on a version bump, they never load wrong. Version 2 payloads
+// carried the removed interprocedural tier (a CFG patched with resolved
+// indirect edges, cross-call liveness and value-state hulls); version 3
+// holds the one remaining analysis.
 const (
 	serMagic   = uint32(0x53415053) // "SPAS"
-	serVersion = uint32(2)          // v2: interprocedural tier (patched CFG + value states)
+	serVersion = uint32(3)
 )
 
 // Encode serializes the analysis's derived tables. The result is only
@@ -150,53 +151,7 @@ func (a *Analysis) Encode() []byte {
 		e.u32(dg.Addr)
 		e.str(dg.Msg)
 	}
-	a.encodeValues(e)
 	return e.b
-}
-
-// encodeValues appends the interprocedural value tier: the summary
-// counters and, when the states are fold-grade, each reached block's
-// entry intervals. Exact value sets are not stored — ProveCond's
-// comparisons are interval/trailing-zeros decidable, and load
-// enumeration re-derives sets from the image on replay.
-func (a *Analysis) encodeValues(e *serEnc) {
-	if a.vals == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.u8(boolByte(a.vals.ok))
-	s := a.vals.stats
-	e.u32(uint32(a.IPStats().Functions))
-	e.u32(uint32(s.ResolvedIndirect))
-	e.u32(uint32(s.UnresolvedIndirect))
-	e.u32(uint32(s.ReachedBlocks))
-	if !a.vals.ok {
-		return // states are never consulted when not fold-grade
-	}
-	for id := range a.blocks {
-		if !a.vals.reached[id] {
-			e.u8(0)
-			continue
-		}
-		e.u8(1)
-		st := a.vals.entry[id]
-		var mask uint32
-		for r := 1; r < len(st); r++ {
-			if !st[r].isTop() {
-				mask |= 1 << uint(r)
-			}
-		}
-		e.u32(mask)
-		for r := 1; r < len(st); r++ {
-			if mask&(1<<uint(r)) == 0 {
-				continue
-			}
-			e.u32(st[r].lo)
-			e.u32(st[r].hi)
-			e.u8(st[r].tz)
-		}
-	}
 }
 
 func boolByte(v bool) uint8 {
@@ -220,7 +175,7 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 	d := &serDec{b: data}
 
 	if m := d.u32(); d.err == nil && m != serMagic {
-		d.fail("bad magic %#x (stale pre-v2 payload?)", m)
+		d.fail("bad magic %#x (stale headerless v1 payload?)", m)
 	}
 	if v := d.u32(); d.err == nil && v != serVersion {
 		d.fail("format version %d, want %d", v, serVersion)
@@ -354,7 +309,6 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 			a.diags = append(a.diags, dg)
 		}
 	}
-	a.decodeValues(d, nblocks)
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
@@ -362,65 +316,4 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 		return nil, d.err
 	}
 	return a, nil
-}
-
-// decodeValues restores the value tier written by encodeValues. Exact
-// sets were not stored, so decoded states are interval/tz hulls of the
-// originals — sound for ProveCond, which only weakens toward "not
-// provable". The image word table is rebuilt so load enumeration works
-// on replay.
-func (a *Analysis) decodeValues(d *serDec, nblocks int) {
-	if d.u8() == 0 || d.err != nil {
-		return
-	}
-	vi := &valueInfo{
-		reached: make([]bool, nblocks),
-		entry:   make([][]vval, nblocks),
-	}
-	vi.ok = d.u8() != 0
-	vi.stats.Functions = int(d.u32())
-	vi.stats.ResolvedIndirect = int(d.u32())
-	vi.stats.UnresolvedIndirect = int(d.u32())
-	vi.stats.ReachedBlocks = int(d.u32())
-	vi.stats.ValuesOK = vi.ok
-	if d.err != nil {
-		return
-	}
-	if vi.ok {
-		for id := 0; id < nblocks && d.err == nil; id++ {
-			if d.u8() == 0 {
-				continue
-			}
-			vi.reached[id] = true
-			st := make([]vval, isa.NumRegs)
-			for r := range st {
-				st[r] = vTop()
-			}
-			st[0] = vConst(0)
-			mask := d.u32()
-			if d.err == nil && mask&1 != 0 {
-				d.fail("block %d value mask claims r0", id)
-			}
-			for r := 1; r < isa.NumRegs && d.err == nil; r++ {
-				if mask&(1<<uint(r)) == 0 {
-					continue
-				}
-				lo, hi, tz := d.u32(), d.u32(), d.u8()
-				if d.err != nil {
-					break
-				}
-				if lo > hi || tz > 31 {
-					d.fail("block %d r%d has bad interval [%#x,%#x] tz %d", id, r, lo, hi, tz)
-					break
-				}
-				st[r] = vval{lo: lo, hi: hi, tz: tz}
-			}
-			vi.entry[id] = st
-		}
-	}
-	if d.err != nil {
-		return
-	}
-	a.vals = vi
-	a.img = a.newImageWords()
 }

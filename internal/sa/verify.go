@@ -12,34 +12,24 @@ import (
 // (undecodable/bad-target/misaligned/fall-off/truncated) were emitted
 // during discovery; this adds the stack-depth dataflow, the
 // never-written-register scan, the provable-self-modifying-store scan,
-// and the unreachable-bytes summary.
+// the unreachable-bytes summary, and the two function-level checks over
+// the direct-call graph: functions nothing calls, and functions that
+// provably return with a shifted stack pointer.
 func (a *Analysis) verify() {
 	a.verifyStackDepth()
 	a.verifyUninitReads()
 	a.verifySMCStores()
 	a.verifyUnreachable()
-}
-
-// verifyInterproc runs the call-graph-aware checks of the
-// interprocedural tier (full Analyze only): functions nothing calls,
-// and functions that provably return with a shifted stack pointer.
-// (The third interprocedural diagnostic, CodeIndirectData, is emitted
-// during indirect-target resolution where the provable-but-bad target
-// set is in hand.)
-func (a *Analysis) verifyInterproc() {
-	if a.ip == nil {
-		return
-	}
 	a.verifyUnreachableFns()
 	a.verifyCallBalance()
 }
 
 // verifyUnreachableFns warns about symbol-labeled, function-shaped
-// bodies (they contain a return) that no resolved call edge targets
-// and that the entry cannot reach. Suppressed for wild programs, where
-// an unresolved transfer could reach anything.
+// bodies (they contain a return) that no direct call edge targets and
+// that the entry cannot reach. Suppressed for wild programs, where an
+// unresolved transfer could reach anything.
 func (a *Analysis) verifyUnreachableFns() {
-	if a.ip.wild || a.entryBlock < 0 {
+	if a.entryBlock < 0 || a.classifyWild() {
 		return
 	}
 	// Blocks reachable from the entry over any edge kind.
@@ -77,11 +67,8 @@ func (a *Analysis) verifyUnreachableFns() {
 			continue
 		}
 		id := int(a.regions[sb.ri].blockOf[sb.start])
-		if id == a.entryBlock || called[id] || reach[id] {
-			continue
-		}
-		if len(a.ip.retBlks[id]) == 0 {
-			continue // not function shaped (data that decodes, a raw loop)
+		if id == a.entryBlock || called[id] || reach[id] || !a.hasReturn(id) {
+			continue // reached, or not function shaped (data that decodes, a raw loop)
 		}
 		a.diags = append(a.diags, Diag{Sev: SevWarn, Code: CodeUnreachableFn, Addr: addr,
 			Msg: fmt.Sprintf("function %q is never called and unreachable from the entry", name)})
@@ -90,82 +77,77 @@ func (a *Analysis) verifyUnreachableFns() {
 
 // verifyCallBalance runs the per-function stack-delta dataflow: from
 // depth 0 at the function entry, `addi sp, sp, imm` moves the depth,
-// any other sp write poisons it, and resolved calls are assumed
-// balanced. A canonical return reached with a provably nonzero delta
-// means callers resume with a shifted stack.
+// any other sp write poisons it, and direct calls are assumed balanced.
+// A canonical return reached with a provably nonzero delta means
+// callers resume with a shifted stack. A function whose body holds an
+// opaque block (an indirect jump, a run cut short) is skipped.
 func (a *Analysis) verifyCallBalance() {
-	for _, f := range a.ip.fns {
-		if a.ip.wildFn[f] {
-			continue
+	// depth[id] belongs to function k while inBody[id] == k+1.
+	depth := make([]int32, len(a.blocks))
+	inBody := make([]int, len(a.blocks))
+	var work, rets []int
+	for k, f := range a.functions() {
+		inBody[f], depth[f] = k+1, 0
+		work, rets = append(work[:0], f), rets[:0]
+		if a.isReturnBlock(a.blocks[f]) {
+			rets = append(rets, f)
 		}
-		depth := make(map[int]int32, len(a.ip.body[f]))
-		for _, id := range a.ip.body[f] {
-			depth[id] = depthUnset
-		}
-		depth[f] = 0
-		work := []int{f}
-		for len(work) > 0 {
+		wild := false
+		for len(work) > 0 && !wild {
 			id := work[len(work)-1]
 			work = work[:len(work)-1]
 			b := a.blocks[id]
-			r := a.regions[b.ri]
-			out := depth[id]
-			for i := b.start; i < b.end; i++ {
-				ins := r.ins[i]
-				if ins.Op == isa.OpADDI && ins.Rd == isa.RegSP && ins.Rs1 == isa.RegSP {
-					if out > depthConflict {
-						out -= ins.Imm
-					}
-				} else if ins.DstReg() == isa.RegSP {
-					out = depthConflict
-				}
-			}
+			wild = a.opaque(b)
+			out := a.spDelta(b, depth[id])
 			for i, s := range b.succs {
 				if b.kinds[i] == edgeCall {
 					continue
 				}
-				cur, inBody := depth[s]
-				if !inBody {
-					continue
-				}
 				switch {
-				case cur == depthUnset:
-					depth[s] = out
+				case inBody[s] != k+1:
+					inBody[s], depth[s] = k+1, out
 					work = append(work, s)
-				case cur == out || cur == depthConflict:
-				default:
+					if a.isReturnBlock(a.blocks[s]) {
+						rets = append(rets, s)
+					}
+				case depth[s] != out && depth[s] != depthConflict:
 					depth[s] = depthConflict
 					work = append(work, s)
 				}
 			}
 		}
-		for _, id := range a.ip.retBlks[f] {
-			d, ok := depth[id]
-			if !ok || d == depthUnset || d == depthConflict {
-				continue
-			}
+		if wild {
+			continue
+		}
+		sort.Ints(rets)
+		for _, id := range rets {
 			b := a.blocks[id]
-			r := a.regions[b.ri]
-			net := d
-			for i := b.start; i < b.end; i++ {
-				ins := r.ins[i]
-				if ins.Op == isa.OpADDI && ins.Rd == isa.RegSP && ins.Rs1 == isa.RegSP {
-					if net > depthConflict {
-						net -= ins.Imm
-					}
-				} else if ins.DstReg() == isa.RegSP {
-					net = depthConflict
-				}
-			}
-			if net != 0 && net > depthConflict {
+			if net := a.spDelta(b, depth[id]); net != 0 && net > depthConflict {
 				fb := a.blocks[f]
 				a.diags = append(a.diags, Diag{Sev: SevWarn, Code: CodeCallImbalance,
-					Addr: r.wordAddr(b.end - 1),
+					Addr: a.regions[b.ri].wordAddr(b.end - 1),
 					Msg: fmt.Sprintf("function at %#08x returns with net stack delta %d",
 						a.regions[fb.ri].wordAddr(fb.start), net)})
 			}
 		}
 	}
+}
+
+// spDelta carries a function-relative stack depth d through block b:
+// `addi sp, sp, imm` moves it, any other sp write makes it a conflict.
+func (a *Analysis) spDelta(b *block, d int32) int32 {
+	r := a.regions[b.ri]
+	for i := b.start; i < b.end; i++ {
+		ins := r.ins[i]
+		if ins.Op == isa.OpADDI && ins.Rd == isa.RegSP && ins.Rs1 == isa.RegSP {
+			if d > depthConflict {
+				d -= ins.Imm
+			}
+		} else if ins.DstReg() == isa.RegSP {
+			d = depthConflict
+		}
+	}
+	return d
 }
 
 // Stack-depth lattice values beyond a known depth.

@@ -54,9 +54,6 @@ go run ./cmd/spbench -exp profdiff -scale 0.02 -benchmarks gzip,mgrid
 echo "== static-analysis differential (analysis on vs -nosa) =="
 go run ./cmd/spbench -exp sadiff -scale 0.02 -benchmarks gzip,mgrid
 
-echo "== interprocedural differential (full vs -saintra vs -nosa, full catalog) =="
-go run ./cmd/spbench -exp ipdiff -scale 0.02
-
 echo "== host-parallelism differential (serial vs 1/2/4/8 workers, telemetry on) =="
 go run ./cmd/spbench -exp pardiff -scale 0.02 -benchmarks gzip,mgrid -serve 127.0.0.1:0
 
@@ -70,7 +67,7 @@ echo "== live telemetry smoke (mid-run /healthz /metrics /status /trace) =="
 go run ./tools/cmd/telsmoke -- \
     go run ./cmd/spbench -exp fig3 -scale 1 -benchmarks gzip,gcc,mgrid -serve 127.0.0.1:0
 
-echo "== interprocedural overhead gate (serial guest-MIPS vs BENCH_9) =="
+echo "== serial guest-MIPS gate (fig3 vs BENCH_9) =="
 # The fresh artifact goes to a temporary file: the committed results/
 # artifacts are records of earlier runs, not outputs of this gate.
 host_json=$(mktemp)

@@ -2,9 +2,9 @@
 // engine's determinism contract.
 //
 // The simulator's load-bearing promise is that virtual results are
-// byte-identical across hosts, worker counts and repeat runs — the
-// differential experiments (sadiff, pardiff, ipdiff, ...) all assert
-// it. Three host-side constructs can silently break that promise when
+// byte-identical across hosts, worker counts and repeat runs — every
+// preset of the differential matrix (sadiff, pardiff, jitdiff, ...)
+// asserts it. Three host-side constructs can silently break that promise when
 // they leak into result-bearing code:
 //
 //   - map iteration: Go randomizes range order over maps, so a map
@@ -34,6 +34,8 @@
 // The annotation deliberately names the reviewer's obligation: writing
 // `//detguard:ok` asserts you checked the site cannot influence
 // virtual-cycle results or any merged/serialized output ordering.
+// The engine packages carry 13 audited annotations, each with the
+// reason its site is order-free.
 package detguard
 
 import (
